@@ -159,25 +159,20 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
     records = []
     for t in range(steps):
         pre = rows[-1]
-        y = obs.inputs[2 * pre[(start - 1) % w] + pre[(start + k) % w]]
-        state = obs.states[_code_of(pre[start:start + k])]
-        updated = obs.step(state, y)
-        action = obs.output(updated)
+        j = 2 * pre[(start - 1) % w] + pre[(start + k) % w]
+        code = obs.f[_code_of(pre[start:start + k])][j]
+        action = obs.g[code]
 
         nxt = [
             rule.table[(pre[i - 1], pre[i], pre[(i + 1) % w])] for i in range(w)
         ]
-        pattern = _bits_of(obs.states.index(updated), k)
-        for offset, bit in enumerate(pattern):
-            nxt[start + offset] = bit
-        act_left, act_right = _bits_of(obs.outputs.index(action), 2)
-        nxt[start] = act_left
-        nxt[start + k - 1] = act_right
+        nxt[start:start + k] = _bits_of(code, k)
+        nxt[start], nxt[start + k - 1] = _bits_of(action, 2)
 
         row = tuple(nxt)
         rows.append(row)
         held = obs.states[_code_of(row[start:start + k])]
-        records.append(TraceRecord(t, y, held, action, row))
+        records.append(TraceRecord(t, obs.inputs[j], held, obs.outputs[action], row))
     return tuple(rows), Trace(tuple(records))
 
 

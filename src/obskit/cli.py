@@ -17,7 +17,7 @@ from .core import CoupledSystem
 from .documents import parse_environment, parse_observer, serialize_observer
 from .errors import ObskitError
 from .metrics import adaptation_time, complexity, expected_hitting_time
-from .morphism import find_isomorphism
+from .morphism import find_isomorphism, minimize
 
 LN2 = math.log(2)
 
@@ -124,8 +124,6 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    from .morphism import minimize
-
     observer = parse_observer(Path(args.observer).read_bytes())
     reduced, _, _ = minimize(observer)
     text = serialize_observer(reduced)
@@ -165,9 +163,17 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_hit(args) -> int:
-    raw = json.loads(Path(args.chain).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(args.chain).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ObskitError(f"chain file is not UTF-8: {exc}") from None
+    if isinstance(raw, dict) and "matrix" not in raw:
+        raise ObskitError("a chain object must have a 'matrix' entry")
     matrix = raw["matrix"] if isinstance(raw, dict) else raw
-    goal = [int(part) for part in args.goal.split(",") if part]
+    try:
+        goal = [int(part) for part in args.goal.split(",") if part]
+    except ValueError:
+        raise ObskitError(f"--goal must be comma-separated integers, got {args.goal!r}") from None
     value = expected_hitting_time(matrix, args.start, goal)
     print("INF" if math.isinf(value) else f"{value:.12g}")
     return 0
@@ -220,13 +226,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except ObskitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (ObskitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass
 
-from .core import Ident, Observer
+from .core import Ident, Observer, check_total
 from .errors import (
     DefinitionError,
     LedgerOrderError,
@@ -163,28 +163,9 @@ def stack(lower: Observer, upper: Observer, wiring: Wiring,
     dropped upper action when the wiring overrides.  The result is a plain
     observer, so every analysis in the package applies to it unchanged.
     """
-    lift = dict(wiring.lift)
-    missing = [z for z in lower.outputs if z not in lift]
-    if missing:
-        raise WiringError(f"lift is not total on the lower outputs, missing {missing[0]!r}")
-    stray = set(lift) - set(lower.outputs)
-    if stray:
-        raise WiringError("lift has entries outside the lower outputs")
-    bad = [v for v in lift.values() if v not in set(upper.inputs)]
-    if bad:
-        raise WiringError(f"lift image {bad[0]!r} is not an upper input")
-
-    drop = None
-    if wiring.drop is not None:
-        drop = dict(wiring.drop)
-        missing = [z for z in upper.outputs if z not in drop]
-        if missing:
-            raise WiringError(f"drop is not total on the upper outputs, missing {missing[0]!r}")
-        if set(drop) - set(upper.outputs):
-            raise WiringError("drop has entries outside the upper outputs")
-        bad = [v for v in drop.values() if v not in set(lower.outputs)]
-        if bad:
-            raise WiringError(f"drop image {bad[0]!r} is not a lower output")
+    lift = check_total("lift", wiring.lift, lower.outputs, upper.inputs, WiringError)
+    drop = None if wiring.drop is None else check_total(
+        "drop", wiring.drop, upper.outputs, lower.outputs, WiringError)
 
     states = tuple((xl, xu) for xl in lower.states for xu in upper.states)
     transition = {}

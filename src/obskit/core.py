@@ -10,13 +10,17 @@ sensor reading.  ``CoupledSystem`` wires the two into the closed loop
 and ``CoupledSystem.run`` records that loop as a ``Trace``.
 
 All values are immutable after construction, so shared instances may be
-used freely from multiple threads.
+used freely from multiple threads, hashed, and pickled.  Each machine
+checks its dict tables once (``check_total``) and keeps them as integer
+tables over construction-order indices (``f``, ``g``); the label tables
+stay readable as read-only ``types.MappingProxyType`` views.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 from .errors import DefinitionError, IdentifierError, IncompatibleAlphabetsError
 
@@ -32,23 +36,61 @@ def _ordered_unique(label: str, items: Iterable[Ident]) -> tuple[Ident, ...]:
     return out
 
 
-def _check_total(label: str, mapping: Mapping, keys: list, values: tuple) -> dict:
+def check_total(label: str, mapping: Mapping, domain: Collection,
+                codomain: Iterable | None = None, error: type[Exception] = DefinitionError,
+                incomplete: type[Exception] | None = None) -> dict:
+    """Copy ``mapping`` into a dict after checking it is a total map.
+
+    The checks run in a fixed order: keys outside ``domain``, then values
+    outside ``codomain`` (skipped when it is None), both raised as
+    ``error``, then keys of ``domain`` with no entry, raised as
+    ``incomplete`` (``error`` when not given).
+    """
     table = dict(mapping)
-    missing = [k for k in keys if k not in table]
+    missing = [k for k in domain if k not in table]
+    if len(table) + len(missing) != len(domain):
+        stray = set(table).difference(domain)
+        raise error(f"{label} has entries outside its domain: {sorted(map(repr, stray))}")
+    if codomain is not None:
+        allowed = set(codomain)
+        if not allowed.issuperset(table.values()):
+            k, v = next((k, v) for k, v in table.items() if v not in allowed)
+            raise error(f"{label}[{k!r}] = {v!r} is not a declared target")
     if missing:
-        raise DefinitionError(f"{label} is not total, missing {missing[0]!r}")
-    if len(table) != len(keys):
-        extra = set(table) - set(keys)
-        raise DefinitionError(f"{label} has entries outside its domain: {sorted(map(repr, extra))}")
-    allowed = set(values)
-    for k, v in table.items():
-        if v not in allowed:
-            raise DefinitionError(f"{label}[{k!r}] = {v!r} is not a declared target")
+        raise (incomplete or error)(f"{label} is not total, missing {missing[0]!r}")
     return table
 
 
-@dataclass(frozen=True)
-class Observer:
+def _index(items: tuple[Ident, ...]) -> dict[Ident, int]:
+    return {item: i for i, item in enumerate(items)}
+
+
+def _rows(codes: list[int], width: int) -> tuple[tuple[int, ...], ...]:
+    """``codes`` cut into consecutive rows of ``width``."""
+    return tuple(zip(*[iter(codes)] * width))
+
+
+class _Machine:
+    """Equality and hashing over the compared fields; pickling through the constructor."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        args = (getattr(self, f.name) for f in fields(self) if f.init)
+        return (type(self), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args))
+
+
+@dataclass(frozen=True, eq=False)
+class Observer(_Machine):
     """A finite sensing/acting machine.
 
     ``transition`` maps (state, input) to the next state and ``output_map``
@@ -56,36 +98,47 @@ class Observer:
     description of what counts as inside the machine; it carries no
     dynamics.  Identifier sets keep their construction order, and every
     algorithm in the package iterates in that order, so results are
-    reproducible.
+    reproducible.  ``f``, ``g``, ``state_index`` and ``input_index`` are the
+    same tables over indices in that order.
     """
 
     states: tuple[Ident, ...]
     inputs: tuple[Ident, ...]
     outputs: tuple[Ident, ...]
-    transition: dict
-    output_map: dict
+    transition: Mapping = field(compare=False)
+    output_map: Mapping = field(compare=False)
     boundary: str = ""
+    f: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    g: tuple[int, ...] = field(init=False, repr=False)
+    state_index: Mapping = field(init=False, repr=False, compare=False)
+    input_index: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", _ordered_unique("states", self.states))
-        object.__setattr__(self, "inputs", _ordered_unique("inputs", self.inputs))
-        object.__setattr__(self, "outputs", _ordered_unique("outputs", self.outputs))
-        keys = [(x, y) for x in self.states for y in self.inputs]
-        object.__setattr__(
-            self, "transition", _check_total("transition", self.transition, keys, self.states)
-        )
-        object.__setattr__(
-            self, "output_map",
-            _check_total("output_map", self.output_map, list(self.states), self.outputs),
-        )
+        states = _ordered_unique("states", self.states)
+        inputs = _ordered_unique("inputs", self.inputs)
+        outputs = _ordered_unique("outputs", self.outputs)
+        keys = [(x, y) for x in states for y in inputs]
+        transition = check_total("transition", self.transition, keys, states)
+        output_map = check_total("output_map", self.output_map, states, outputs)
+        si, zi = _index(states), _index(outputs)
+        for name, value in (
+            ("states", states), ("inputs", inputs), ("outputs", outputs),
+            ("transition", MappingProxyType(transition)),
+            ("output_map", MappingProxyType(output_map)),
+            ("f", _rows([si[transition[k]] for k in keys], len(inputs))),
+            ("g", tuple([zi[output_map[x]] for x in states])),
+            ("state_index", MappingProxyType(si)),
+            ("input_index", MappingProxyType(_index(inputs))),
+        ):
+            object.__setattr__(self, name, value)
 
     def step(self, state: Ident, received: Ident) -> Ident:
         """Next internal state after sensing ``received`` in ``state``."""
-        if state not in self.output_map:
+        if state not in self.state_index:
             raise IdentifierError(f"unknown state {state!r}")
-        if (state, received) not in self.transition:
+        if received not in self.input_index:
             raise IdentifierError(f"unknown input {received!r}")
-        return self.transition[(state, received)]
+        return self.states[self.f[self.state_index[state]][self.input_index[received]]]
 
     def output(self, state: Ident) -> Ident:
         """Action emitted while in ``state``."""
@@ -104,34 +157,39 @@ class Observer:
         return tuple(emitted)
 
 
-@dataclass(frozen=True)
-class Environment:
+@dataclass(frozen=True, eq=False)
+class Environment(_Machine):
     """The machine on the far side of an observer's boundary.
 
     ``transition`` maps (environment state, observer action) to the next
     environment state; ``observation`` maps each environment state to the
-    reading it offers the observer.
+    reading it offers the observer.  ``f[i][j]`` is the index of the state
+    that state i moves to on action j, and ``readings[i]`` is the reading
+    state i offers.
     """
 
     states: tuple[Ident, ...]
     actions: tuple[Ident, ...]
-    transition: dict
-    observation: dict
+    transition: Mapping = field(compare=False)
+    observation: Mapping = field(compare=False)
+    f: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    readings: tuple[Ident, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", _ordered_unique("environment states", self.states))
-        object.__setattr__(self, "actions", _ordered_unique("actions", self.actions))
-        keys = [(s, a) for s in self.states for a in self.actions]
-        object.__setattr__(
-            self, "transition", _check_total("environment transition", self.transition, keys, self.states)
-        )
-        table = dict(self.observation)
-        missing = [s for s in self.states if s not in table]
-        if missing:
-            raise DefinitionError(f"observation map is not total, missing {missing[0]!r}")
-        if len(table) != len(self.states):
-            raise DefinitionError("observation map has entries outside the state set")
-        object.__setattr__(self, "observation", table)
+        states = _ordered_unique("environment states", self.states)
+        actions = _ordered_unique("actions", self.actions)
+        keys = [(s, a) for s in states for a in actions]
+        transition = check_total("environment transition", self.transition, keys, states)
+        observation = check_total("observation map", self.observation, states)
+        si = _index(states)
+        for name, value in (
+            ("states", states), ("actions", actions),
+            ("transition", MappingProxyType(transition)),
+            ("observation", MappingProxyType(observation)),
+            ("f", _rows([si[transition[k]] for k in keys], len(actions))),
+            ("readings", tuple([observation[s] for s in states])),
+        ):
+            object.__setattr__(self, name, value)
 
     def observe(self, state: Ident) -> Ident:
         try:
@@ -190,8 +248,7 @@ class CoupledSystem:
     environment: Environment
 
     def __post_init__(self) -> None:
-        readings = set(self.environment.observation.values())
-        unknown = readings - set(self.observer.inputs)
+        unknown = set(self.environment.readings) - set(self.observer.inputs)
         if unknown:
             raise IncompatibleAlphabetsError(
                 f"environment offers readings the observer cannot sense: {sorted(map(repr, unknown))}"
@@ -273,13 +330,7 @@ class MinimalityReport:
         )
 
     def conditions(self) -> dict[str, bool]:
-        return {
-            "has_inputs": self.has_inputs,
-            "has_outputs": self.has_outputs,
-            "nontrivial_dynamics": self.nontrivial_dynamics,
-            "actions_can_change_environment": self.actions_can_change_environment,
-            "readings_track_environment": self.readings_track_environment,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def validate_minimal(system: CoupledSystem, starts: Iterable[JointState]) -> MinimalityReport:
@@ -295,11 +346,7 @@ def validate_minimal(system: CoupledSystem, starts: Iterable[JointState]) -> Min
     """
     obs = system.observer
     env = system.environment
-    reachable = system.reachable_joints(starts)
-    env_reachable = []
-    for _, s in reachable:
-        if s not in env_reachable:
-            env_reachable.append(s)
+    env_reachable = {s for _, s in system.reachable_joints(starts)}
 
     actions_matter = any(
         len({env.transition[(s, a)] for a in env.actions}) > 1 for s in env_reachable

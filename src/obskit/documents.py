@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .core import Environment, Observer
+from .core import Environment, Observer, check_total
 from .errors import (
     DocumentCompletenessError,
     DocumentError,
@@ -57,60 +57,24 @@ def _identifier_array(doc: dict, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _pair_table(
-    doc: dict,
-    name: str,
-    rows: tuple[str, ...],
-    cols: tuple[str, ...],
-    row_label: str,
-    col_label: str,
-    targets: tuple[str, ...],
-) -> dict:
+def _table(doc: dict, name: str, domain: list, targets: tuple[str, ...],
+           key_form: str | None = None) -> dict:
+    """Read one identifier table; ``key_form`` names the parts of a pair key."""
     raw = doc.get(name)
     if not isinstance(raw, dict):
         raise DocumentError(f"{name!r} must be an object")
     table = {}
-    row_set, col_set, target_set = set(rows), set(cols), set(targets)
     for key, value in raw.items():
-        head, sep, tail = key.partition(",")
-        if not sep:
-            raise DocumentError(f"{name!r} key {key!r} must be '{row_label},{col_label}'")
-        if head not in row_set:
-            raise DocumentReferenceError(f"{name!r} references undeclared {row_label} {head!r}")
-        if tail not in col_set:
-            raise DocumentReferenceError(f"{name!r} references undeclared {col_label} {tail!r}")
-        if value not in target_set:
-            raise DocumentReferenceError(f"{name!r}[{key!r}] = {value!r} is undeclared")
-        table[(head, tail)] = value
-    for r in rows:
-        for c in cols:
-            if (r, c) not in table:
-                raise DocumentCompletenessError(f"{name!r} is missing the entry for ({r!r}, {c!r})")
-    return table
-
-
-def _value_table(
-    doc: dict,
-    name: str,
-    keys: tuple[str, ...],
-    key_label: str,
-    targets: tuple[str, ...],
-) -> dict:
-    raw = doc.get(name)
-    if not isinstance(raw, dict):
-        raise DocumentError(f"{name!r} must be an object")
-    table = {}
-    key_set, target_set = set(keys), set(targets)
-    for key, value in raw.items():
-        if key not in key_set:
-            raise DocumentReferenceError(f"{name!r} references undeclared {key_label} {key!r}")
-        if value not in target_set:
-            raise DocumentReferenceError(f"{name!r}[{key!r}] = {value!r} is undeclared")
+        if not isinstance(value, str):
+            raise DocumentReferenceError(f"{name!r}[{key!r}] = {value!r} is not an identifier")
+        if key_form is not None:
+            head, sep, tail = key.partition(",")
+            if not sep:
+                raise DocumentError(f"{name!r} key {key!r} must be '{key_form}'")
+            key = (head, tail)
         table[key] = value
-    for k in keys:
-        if k not in table:
-            raise DocumentCompletenessError(f"{name!r} is missing the entry for {k!r}")
-    return table
+    return check_total(repr(name), table, domain, targets,
+                       DocumentReferenceError, DocumentCompletenessError)
 
 
 def parse_observer(text: str | bytes) -> Observer:
@@ -120,8 +84,9 @@ def parse_observer(text: str | bytes) -> Observer:
     states = _identifier_array(doc, "states")
     inputs = _identifier_array(doc, "inputs")
     outputs = _identifier_array(doc, "outputs")
-    transition = _pair_table(doc, "transitions", states, inputs, "state", "input", states)
-    output_map = _value_table(doc, "output_map", states, "state", outputs)
+    pairs = [(x, y) for x in states for y in inputs]
+    transition = _table(doc, "transitions", pairs, states, "state,input")
+    output_map = _table(doc, "output_map", list(states), outputs)
     boundary = doc.get("boundary", "")
     if not isinstance(boundary, str):
         raise DocumentError("'boundary' must be a string")
@@ -142,10 +107,9 @@ def parse_environment(text: str | bytes) -> Environment:
     env_states = _identifier_array(doc, "env_states")
     actions = _identifier_array(doc, "actions")
     observations = _identifier_array(doc, "observations")
-    transition = _pair_table(
-        doc, "env_transitions", env_states, actions, "env_state", "action", env_states
-    )
-    observation = _value_table(doc, "observation", env_states, "env_state", observations)
+    pairs = [(s, a) for s in env_states for a in actions]
+    transition = _table(doc, "env_transitions", pairs, env_states, "env_state,action")
+    observation = _table(doc, "observation", list(env_states), observations)
     return Environment(
         states=env_states,
         actions=actions,
@@ -187,11 +151,7 @@ def serialize_environment(env: Environment) -> str:
     """Canonical document text for an environment."""
     _require_document_ids("env_state", env.states)
     _require_document_ids("action", env.actions)
-    observations = []
-    for s in env.states:
-        reading = env.observation[s]
-        if reading not in observations:
-            observations.append(reading)
+    observations = list(dict.fromkeys(env.readings))
     _require_document_ids("observation", observations)
     return _dump({
         "format_version": FORMAT_VERSION,

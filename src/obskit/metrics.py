@@ -110,6 +110,18 @@ def adaptation_time(
     raise CapExceededError(f"no revisit or goal within {cap} steps")
 
 
+def _closure(edges: np.ndarray, seeds: list[int], blocked: np.ndarray) -> np.ndarray:
+    """Mask of the states reachable from ``seeds`` along ``edges``, not searching past ``blocked``."""
+    reached = np.zeros(len(edges), dtype=bool)
+    reached[seeds] = True
+    frontier = reached & ~blocked
+    while frontier.any():
+        new = edges[frontier].any(axis=0) & ~reached
+        reached |= new
+        frontier = new & ~blocked
+    return reached
+
+
 def expected_hitting_time(
     transition_matrix: Sequence[Sequence[float]],
     start: int,
@@ -117,15 +129,22 @@ def expected_hitting_time(
 ) -> float:
     """Expected steps for a Markov chain to first reach the goal set.
 
-    Solves t = 1 + Q t on the non-goal states by dense LU elimination with
-    partial pivoting.  Returns ``math.inf`` when no positive-probability
-    path connects the start to the goal.  A singular reduced system (a
-    closed non-goal component) raises ``NumericalError``.
+    Solves t = 1 + Q t by dense LU elimination with partial pivoting, on
+    the non-goal states the chain can visit from the start before it hits
+    the goal; no other state can change the answer.  Returns ``math.inf``
+    when no positive-probability path connects the start to the goal.  If
+    one of those states cannot reach the goal (a closed non-goal
+    component), the system is singular and ``NumericalError`` is raised.
     """
-    P = np.asarray(transition_matrix, dtype=float)
+    try:
+        P = np.asarray(transition_matrix, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DefinitionError(f"transition matrix must be a rectangular array of numbers: {exc}") from None
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
         raise DefinitionError("transition matrix must be square and non-empty")
     n = P.shape[0]
+    if not np.isfinite(P).all():
+        raise DefinitionError("transition probabilities must be finite")
     if np.any(P < 0.0):
         raise DefinitionError("transition probabilities must be non-negative")
     bad = np.nonzero(np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOLERANCE)[0]
@@ -141,24 +160,18 @@ def expected_hitting_time(
     if start in goal_set:
         return 0.0
 
-    # reachability pre-pass over positive-probability edges
-    frontier = [start]
-    reachable = {start}
-    while frontier:
-        i = frontier.pop()
-        for j in np.nonzero(P[i] > 0.0)[0]:
-            j = int(j)
-            if j not in reachable:
-                reachable.add(j)
-                frontier.append(j)
-    if not (reachable & goal_set):
+    edges = P > 0.0
+    is_goal = np.isin(np.arange(n), sorted(goal_set))
+    visited = _closure(edges, [start], is_goal)
+    if not (visited & is_goal).any():
         return math.inf
-
-    others = [i for i in range(n) if i not in goal_set]
-    Q = P[np.ix_(others, others)]
-    A = np.eye(len(others)) - Q
+    region = visited & ~is_goal
+    if (region & ~_closure(edges.T, sorted(goal_set), np.zeros(n, dtype=bool))).any():
+        raise NumericalError("a closed non-goal component is reachable from the start")
+    region = np.nonzero(region)[0]
+    A = np.eye(len(region)) - P[np.ix_(region, region)]
     try:
-        t = np.linalg.solve(A, np.ones(len(others)))
+        t = np.linalg.solve(A, np.ones(len(region)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"reduced first-passage system is singular: {exc}") from None
-    return float(t[others.index(start)])
+    return float(t[np.searchsorted(region, start)])

@@ -10,10 +10,11 @@ behavioral quotient that drives the redundancy metric.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from .core import Ident, Observer
+from .core import Ident, Observer, check_total
 from .errors import IdentifierError, MorphismShapeError
 
 
@@ -72,18 +73,6 @@ class MorphismCheck:
         return self.holds
 
 
-def _require_total(label: str, mapping: dict, domain: tuple, codomain: tuple) -> None:
-    missing = [k for k in domain if k not in mapping]
-    if missing:
-        raise MorphismShapeError(f"{label} is not total, missing {missing[0]!r}")
-    if set(mapping) != set(domain):
-        raise MorphismShapeError(f"{label} has entries outside the source set")
-    target = set(codomain)
-    for k, v in mapping.items():
-        if v not in target:
-            raise MorphismShapeError(f"{label}[{k!r}] = {v!r} is outside the target set")
-
-
 def check_homomorphism(src: Observer, dst: Observer, morphism: ObserverMorphism) -> MorphismCheck:
     """Verify both commutation conditions, collecting all violations.
 
@@ -91,9 +80,9 @@ def check_homomorphism(src: Observer, dst: Observer, morphism: ObserverMorphism)
     stepping-then-mapping for every (state, input) pair; the output
     condition requires the mapped state to emit the mapped action.
     """
-    _require_total("state map", morphism.state_map, src.states, dst.states)
-    _require_total("input map", morphism.input_map, src.inputs, dst.inputs)
-    _require_total("output map", morphism.output_map, src.outputs, dst.outputs)
+    check_total("state map", morphism.state_map, src.states, dst.states, MorphismShapeError)
+    check_total("input map", morphism.input_map, src.inputs, dst.inputs, MorphismShapeError)
+    check_total("output map", morphism.output_map, src.outputs, dst.outputs, MorphismShapeError)
 
     mx, my, mz = morphism.state_map, morphism.input_map, morphism.output_map
     bad_transitions = tuple(
@@ -109,73 +98,23 @@ def check_homomorphism(src: Observer, dst: Observer, morphism: ObserverMorphism)
     )
 
 
-# -- index tables and signature refinement ----------------------------------
+# -- partition refinement ----------------------------------------------------
 
-def _index_tables(obs: Observer) -> tuple[list[list[int]], list[int]]:
-    si = {x: i for i, x in enumerate(obs.states)}
-    yi = {y: j for j, y in enumerate(obs.inputs)}
-    zi = {z: k for k, z in enumerate(obs.outputs)}
-    f = [[si[obs.transition[(x, y)]] for y in obs.inputs] for x in obs.states]
-    g = [zi[obs.output_map[x]] for x in obs.states]
-    return f, g
+def _refine(colors: list[int], keys) -> list[int]:
+    """Split color classes by ``keys(colors)`` until the class count stops growing.
 
-
-def _refine_pair(fa, ga, nza, fb, gb, nzb):
-    """Jointly refine label-free colors on two machines.
-
-    Colors are computed with one shared renumbering per round, so equal
-    colors across the machines mean "not yet distinguishable by structure".
-    Any isomorphism must map each element to one of the same color, which
-    makes the colors a sound candidate filter for the search below.
+    Each key must include the element's current color, so every round
+    refines the last.  Colors are renumbered by the sorted order of the
+    keys, so they depend on structure alone, never on element order.
     """
-
-    def fibers(g, nz):
-        count = [0] * nz
-        for k in g:
-            count[k] += 1
-        return count
-
-    fib_a, fib_b = fibers(ga, nza), fibers(gb, nzb)
-    oc_a, oc_b = list(fib_a), list(fib_b)
-    sc_a, sc_b = [0] * len(fa), [0] * len(fb)
-    ic_a = [0] * (len(fa[0]) if fa else 0)
-    ic_b = [0] * (len(fb[0]) if fb else 0)
-
-    def renumber(keys_a, keys_b):
-        palette = {k: n for n, k in enumerate(sorted(set(keys_a) | set(keys_b)))}
-        return [palette[k] for k in keys_a], [palette[k] for k in keys_b]
-
-    def round_keys(f, g, sc, ic, oc):
-        skeys = [
-            (sc[i], oc[g[i]], tuple(sorted((ic[j], sc[f[i][j]]) for j in range(len(ic)))))
-            for i in range(len(f))
-        ]
-        ikeys = [
-            (ic[j], tuple(sorted((sc[i], sc[f[i][j]]) for i in range(len(f)))))
-            for j in range(len(ic))
-        ]
-        okeys = [
-            (oc[k], tuple(sorted(sc[i] for i in range(len(f)) if g[i] == k)))
-            for k in range(len(oc))
-        ]
-        return skeys, ikeys, okeys
-
+    count = len(set(colors))
     while True:
-        ska, ika, oka = round_keys(fa, ga, sc_a, ic_a, oc_a)
-        skb, ikb, okb = round_keys(fb, gb, sc_b, ic_b, oc_b)
-        new_sc_a, new_sc_b = renumber(ska, skb)
-        new_ic_a, new_ic_b = renumber(ika, ikb)
-        new_oc_a, new_oc_b = renumber(oka, okb)
-        stable = (
-            len(set(new_sc_a + new_sc_b)) == len(set(sc_a + sc_b))
-            and len(set(new_ic_a + new_ic_b)) == len(set(ic_a + ic_b))
-            and len(set(new_oc_a + new_oc_b)) == len(set(oc_a + oc_b))
-        )
-        sc_a, sc_b, ic_a, ic_b, oc_a, oc_b = (
-            new_sc_a, new_sc_b, new_ic_a, new_ic_b, new_oc_a, new_oc_b,
-        )
-        if stable:
-            return sc_a, ic_a, oc_a, sc_b, ic_b, oc_b
+        round_keys = keys(colors)
+        palette = {k: n for n, k in enumerate(sorted(set(round_keys)))}
+        colors = [palette[k] for k in round_keys]
+        if len(palette) == count:
+            return colors
+        count = len(palette)
 
 
 def find_isomorphism(
@@ -195,9 +134,9 @@ def find_isomorphism(
     """
     if anchors is not None:
         ax, bx = anchors
-        if ax not in a.output_map:
+        if ax not in a.state_index:
             raise IdentifierError(f"anchor {ax!r} is not a state of the first observer")
-        if bx not in b.output_map:
+        if bx not in b.state_index:
             raise IdentifierError(f"anchor {bx!r} is not a state of the second observer")
 
     nx, ny, nz = len(a.states), len(a.inputs), len(a.outputs)
@@ -206,17 +145,31 @@ def find_isomorphism(
     if canonical_invariants(a) != canonical_invariants(b):
         return None
 
-    fa, ga = _index_tables(a)
-    fb, gb = _index_tables(b)
-    sc_a, ic_a, oc_a, sc_b, ic_b, oc_b = _refine_pair(fa, ga, nz, fb, gb, nz)
-    if sorted(sc_a) != sorted(sc_b) or sorted(ic_a) != sorted(ic_b) or sorted(oc_a) != sorted(oc_b):
-        return None
+    fa, ga, fb, gb = a.f, a.g, b.f, b.g
+    n = nx + ny + nz
 
-    state_cands = [[u for u in range(nx) if sc_b[u] == sc_a[i]] for i in range(nx)]
-    input_cands = [[v for v in range(ny) if ic_b[v] == ic_a[j]] for j in range(ny)]
+    def keys(c: list[int]) -> list[tuple]:
+        # one key per element of the disjoint union: a's states, inputs and
+        # outputs, then b's; equal final colors mean "not yet distinguishable
+        # by structure", so they are a sound candidate filter for the search
+        out: list[tuple] = []
+        for base, f, g in ((0, fa, ga), (n, fb, gb)):
+            sc, ic, oc = c[base:base + nx], c[base + nx:base + nx + ny], c[base + nx + ny:base + n]
+            out += [(sc[i], oc[g[i]], tuple(sorted(zip(ic, (sc[t] for t in f[i])))))
+                    for i in range(nx)]
+            out += [(ic[j], tuple(sorted((sc[i], sc[f[i][j]]) for i in range(nx))))
+                    for j in range(ny)]
+            out += [(oc[k], tuple(sorted(sc[i] for i in range(nx) if g[i] == k)))
+                    for k in range(nz)]
+        return out
+
+    colors = _refine(([0] * nx + [1] * ny + [2] * nz) * 2, keys)
+    if sorted(colors[:n]) != sorted(colors[n:]):
+        return None
+    state_cands = [[u for u in range(nx) if colors[n + u] == colors[i]] for i in range(nx)]
+    input_cands = [[v for v in range(ny) if colors[n + nx + v] == colors[nx + j]] for j in range(ny)]
     if anchors is not None:
-        i0 = a.states.index(anchors[0])
-        u0 = b.states.index(anchors[1])
+        i0, u0 = a.state_index[ax], b.state_index[bx]
         if u0 not in state_cands[i0]:
             return None
         state_cands[i0] = [u0]
@@ -325,20 +278,17 @@ def canonical_invariants(obs: Observer) -> tuple:
     makes this a sound prefilter: differing vectors prove non-equivalence.
     """
     reduced, _, _ = minimize(obs)
-    fiber: dict[Ident, int] = {}
-    for x in obs.states:
-        z = obs.output_map[x]
-        fiber[z] = fiber.get(z, 0) + 1
-    indegree: dict[Ident, int] = {x: 0 for x in obs.states}
-    for target in obs.transition.values():
-        indegree[target] += 1
+    indegree = [0] * len(obs.states)
+    for row in obs.f:
+        for target in row:
+            indegree[target] += 1
     return (
         len(obs.states),
         len(obs.inputs),
         len(obs.outputs),
         (len(reduced.states), len(reduced.inputs), len(reduced.outputs)),
-        tuple(sorted(fiber.values())),
-        tuple(sorted(indegree.values())),
+        tuple(sorted(Counter(obs.g).values())),
+        tuple(sorted(indegree)),
     )
 
 
@@ -359,23 +309,6 @@ class BehavioralPartition:
         raise IdentifierError(f"unknown state {state!r}")
 
 
-def _state_partition(obs: Observer) -> list[int]:
-    """Block index per state, refined to the greatest fixed point."""
-    f, g = _index_tables(obs)
-    nx = len(obs.states)
-    block = list(g)
-    while True:
-        keys = [(block[i], tuple(block[t] for t in f[i])) for i in range(nx)]
-        palette: dict[tuple, int] = {}
-        new_block = []
-        for key in keys:
-            palette.setdefault(key, len(palette))
-            new_block.append(palette[key])
-        if len(set(new_block)) == len(set(block)):
-            return new_block
-        block = new_block
-
-
 def minimize(obs: Observer) -> tuple[Observer, BehavioralPartition, ObserverMorphism]:
     """Quotient an observer by behavioral redundancy.
 
@@ -390,49 +323,45 @@ def minimize(obs: Observer) -> tuple[Observer, BehavioralPartition, ObserverMorp
     were never emitted have no constraint from the commutation conditions;
     the quotient morphism sends them to the first surviving output.
     """
-    block = _state_partition(obs)
-    nx = len(obs.states)
+    f, g = obs.f, obs.g
+    states, inputs, outputs = obs.states, obs.inputs, obs.outputs
+    block = _refine(list(g), lambda b: [(b[i], tuple(b[t] for t in row)) for i, row in enumerate(f)])
 
-    block_members: dict[int, list[Ident]] = {}
-    for i, x in enumerate(obs.states):
-        block_members.setdefault(block[i], []).append(x)
-    ordered_blocks = sorted(block_members.values(), key=lambda m: obs.states.index(m[0]))
-    state_rep = {x: members[0] for members in ordered_blocks for x in members}
+    # members of each block, in order of their first member
+    blocks: dict[int, list[int]] = {}
+    for i, c in enumerate(block):
+        blocks.setdefault(c, []).append(i)
+    ordered_blocks = list(blocks.values())
+    rep = [blocks[c][0] for c in block]
 
-    input_key: dict[Ident, tuple] = {
-        y: tuple(block[obs.states.index(obs.transition[(x, y)])] for x in obs.states)
-        for y in obs.inputs
-    }
-    input_groups: dict[tuple, list[Ident]] = {}
-    for y in obs.inputs:
-        input_groups.setdefault(input_key[y], []).append(y)
-    input_rep = {y: members[0] for members in input_groups.values() for y in members}
+    input_groups: dict[tuple, list[int]] = {}
+    for j in range(len(inputs)):
+        input_groups.setdefault(tuple(block[row[j]] for row in f), []).append(j)
 
-    new_states = tuple(members[0] for members in ordered_blocks)
-    new_inputs = tuple(y for y in obs.inputs if input_rep[y] == y)
-    emitted = {obs.output_map[x] for x in obs.states}
-    new_outputs = tuple(z for z in obs.outputs if z in emitted)
-
-    new_transition = {
-        (x, y): state_rep[obs.transition[(x, y)]]
-        for x in new_states
-        for y in new_inputs
-    }
-    new_output_map = {x: obs.output_map[x] for x in new_states}
+    kept_states = [members[0] for members in ordered_blocks]
+    kept_inputs = [members[0] for members in input_groups.values()]
+    emitted = set(g)
+    new_outputs = tuple(z for k, z in enumerate(outputs) if k in emitted)
     quotient = Observer(
-        states=new_states,
-        inputs=new_inputs,
+        states=tuple(states[i] for i in kept_states),
+        inputs=tuple(inputs[j] for j in kept_inputs),
         outputs=new_outputs,
-        transition=new_transition,
-        output_map=new_output_map,
+        transition={
+            (states[i], inputs[j]): states[rep[f[i][j]]] for i in kept_states for j in kept_inputs
+        },
+        output_map={states[i]: outputs[g[i]] for i in kept_states},
         boundary=obs.boundary,
     )
 
-    partition = BehavioralPartition(tuple(tuple(members) for members in ordered_blocks))
+    partition = BehavioralPartition(
+        tuple(tuple(states[i] for i in members) for members in ordered_blocks)
+    )
     fallback = new_outputs[0]
     quotient_map = ObserverMorphism(
-        state_map=dict(state_rep),
-        input_map=dict(input_rep),
-        output_map={z: (z if z in emitted else fallback) for z in obs.outputs},
+        state_map={states[i]: states[members[0]] for members in ordered_blocks for i in members},
+        input_map={
+            inputs[j]: inputs[members[0]] for members in input_groups.values() for j in members
+        },
+        output_map={z: (z if k in emitted else fallback) for k, z in enumerate(outputs)},
     )
     return quotient, partition, quotient_map

@@ -7,6 +7,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from obskit.cli import dispatch
 from obskit.documents import parse_observer
 
@@ -110,6 +112,16 @@ def test_complexity_of_redundant_fixture(capsys):
 
 # -- minimize -------------------------------------------------------------------------------
 
+def test_document_with_a_list_value_is_domain_error(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "thermostat.json").read_text())
+    doc["transitions"]["OFF,Cold"] = ["ON"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "complexity", str(bad))
+    assert code == 1
+    assert "error" in err
+
+
 def test_minimize_writes_a_reduced_document(tmp_path, capsys):
     target = tmp_path / "reduced.json"
     code, _, _ = run_cli(capsys, "minimize", REDUNDANT, "-o", str(target))
@@ -187,6 +199,39 @@ def test_hit_bad_matrix_is_domain_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "hit", "--chain", str(chain), "--start", "0", "--goal", "1")
     assert code == 1
     assert "error" in err
+
+
+def test_hit_object_without_matrix_is_domain_error(tmp_path, capsys):
+    chain = tmp_path / "rows.json"
+    chain.write_text(json.dumps({"rows": [[0.5, 0.5], [0.0, 1.0]]}))
+    code, _, err = run_cli(capsys, "hit", "--chain", str(chain), "--start", "0", "--goal", "1")
+    assert code == 1
+    assert "'matrix' entry" in err
+
+
+def test_hit_non_integer_goal_is_domain_error(capsys):
+    code, _, err = run_cli(capsys, "hit", "--chain", CHAIN2, "--start", "0", "--goal", "1,two")
+    assert code == 1
+    assert "--goal" in err
+
+
+def test_hit_non_utf8_chain_is_domain_error(tmp_path, capsys):
+    chain = tmp_path / "latin1.json"
+    chain.write_bytes(b"[[\xff]]")
+    code, _, err = run_cli(capsys, "hit", "--chain", str(chain), "--start", "0", "--goal", "1")
+    assert code == 1
+    assert "UTF-8" in err
+
+
+def test_internal_errors_are_not_reported_as_user_errors(monkeypatch):
+    import obskit.cli as cli
+
+    def broken(args):
+        raise KeyError("x0")
+
+    monkeypatch.setitem(cli._HANDLERS, "hit", broken)
+    with pytest.raises(KeyError):
+        dispatch(["hit", "--chain", CHAIN2, "--start", "0", "--goal", "1"])
 
 
 # -- ca ----------------------------------------------------------------------------------------------

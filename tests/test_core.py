@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -62,6 +64,38 @@ def test_incompatible_alphabets_rejected_at_coupling():
     )
     with pytest.raises(IncompatibleAlphabetsError):
         CoupledSystem(thermostat(), env)
+
+
+@pytest.mark.parametrize("make, table, key", [
+    (thermostat, "transition", ("OFF", "Cold")),
+    (thermostat, "output_map", "OFF"),
+    (flip_environment, "observation", "Cold"),
+])
+def test_tables_are_read_only(make, table, key):
+    machine = make()
+    with pytest.raises(TypeError):
+        getattr(machine, table)[key] = "BOGUS"
+    assert machine == make()
+
+
+def test_equal_observers_hash_equal():
+    assert hash(thermostat()) == hash(thermostat())
+    assert len({thermostat(), thermostat(), flip_environment()}) == 2
+
+
+@pytest.mark.parametrize("make", [thermostat, flip_environment])
+def test_machines_survive_pickle_and_deepcopy(make):
+    machine = make()
+    assert pickle.loads(pickle.dumps(machine)) == machine
+    assert copy.deepcopy(machine) == machine
+
+
+def test_int_tables_follow_construction_order():
+    obs = thermostat()
+    assert obs.f == ((1, 0), (1, 0))
+    assert obs.g == (0, 1)
+    assert flip_environment().f == ((0, 1), (0, 1))
+    assert flip_environment().readings == ("Cold", "Hot")
 
 
 # -- observer stepping ---------------------------------------------------------

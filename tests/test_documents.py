@@ -75,6 +75,19 @@ def test_undeclared_output_is_a_reference_error():
         parse_observer(json.dumps(doc))
 
 
+@pytest.mark.parametrize("table, key, value", [
+    ("transitions", "OFF,Cold", ["ON"]),
+    ("transitions", "OFF,Cold", {"state": "ON"}),
+    ("output_map", "OFF", ["HeaterOff"]),
+    ("output_map", "OFF", 3),
+])
+def test_non_string_table_value_is_a_reference_error(table, key, value):
+    doc = thermostat_doc()
+    doc[table][key] = value
+    with pytest.raises(DocumentReferenceError):
+        parse_observer(json.dumps(doc))
+
+
 def test_comma_in_identifier_rejected():
     doc = thermostat_doc()
     doc["states"] = ["O,FF", "ON"]

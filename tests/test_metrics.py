@@ -274,6 +274,47 @@ def test_closed_non_goal_component_is_numerical_error():
         expected_hitting_time(matrix, start=0, goal=[2])
 
 
+@pytest.mark.parametrize("matrix", [
+    [[math.nan, 1.0], [0.0, 1.0]],
+    [[math.inf, 0.0], [0.0, 1.0]],
+    [[0.5, 0.5], [1.0]],
+])
+def test_non_finite_or_ragged_matrix_rejected(matrix):
+    with pytest.raises(DefinitionError):
+        expected_hitting_time(matrix, 0, [1])
+
+
+def test_absorbing_state_the_start_cannot_reach_is_ignored():
+    assert expected_hitting_time([[0, 1, 0], [0, 1, 0], [0, 0, 1]], 0, [1]) == 1.0
+
+
+def test_reachable_closed_component_is_numerical_error_whatever_its_weights():
+    # states 1 and 2 trap the chain; the elimination alone does not see an exact zero pivot
+    matrix = [
+        [0.0, 0.5, 0.0, 0.5],
+        [0.0, 0.1, 0.9, 0.0],
+        [0.0, 0.7, 0.3, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ]
+    with pytest.raises(NumericalError):
+        expected_hitting_time(matrix, start=0, goal=[3])
+
+
+def test_solve_ignores_unrelated_absorbing_component():
+    rng = np.random.default_rng(20240607)
+    for n in (3, 6, 10):
+        # a dense chain on states 0..n-1, then a two-state closed component
+        # and an absorbing state that the start can never reach
+        matrix = np.zeros((n + 3, n + 3))
+        matrix[:n, :n] = random_dense_chain(rng, n)
+        matrix[n:n + 2, n:n + 2] = [[0.25, 0.75], [0.5, 0.5]]
+        matrix[n + 2, n + 2] = 1.0
+        start, goal = 0, [n - 1]
+        exact = expected_hitting_time(matrix.tolist(), start, goal)
+        mean, stderr = mc_hitting_oracle(matrix, start, goal, trials=40_000, seed=int(rng.integers(2**31)))
+        assert abs(exact - mean) <= 3 * stderr + 1e-12
+
+
 def test_linear_solve_matches_monte_carlo():
     rng = np.random.default_rng(8675309)
     for n in (2, 5, 9, 14):
