@@ -4,19 +4,22 @@
 lower machine's actions and may override what the pair emits.  A
 ``second_order_wrap`` turns a finite family of rule tables plus a
 table-selection rule into an ordinary observer that switches its own rules
-as it runs.  Both constructions register who-watches-whom edges in a meta
-registry that refuses to become cyclic, and ``check_well_founded`` tests
-arbitrary observation graphs.  ``FactLedger`` keeps the observer-relative
+as it runs.  ``stack`` registers who-watches-whom edges in a meta registry
+that refuses to become cyclic and holds observers only weakly, forgetting
+them once they are collected; ``check_well_founded`` tests arbitrary
+observation graphs.  ``FactLedger`` keeps the observer-relative
 record of which interactions crossed which boundary, exercised end to end
 by the bundled two-observer measurement script.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 
-from .core import Ident, Observer, check_total
+from .core import Ident, Observer, _ordered_unique, check_total
 from .errors import (
     DefinitionError,
     LedgerOrderError,
@@ -50,48 +53,66 @@ class WellFoundedReport:
 class MetaRegistry:
     """Mutable record of who observes or modifies whom.
 
-    Nodes are observer instances (tracked by identity) or arbitrary labels.
-    Adding an edge that would close a directed cycle raises
-    ``MetaCycleError`` and leaves the registry unchanged.  Writers must be
-    serialized externally; concurrent readers are fine.
+    Nodes are tracked by identity.  Observers are held weakly: once one is
+    collected, its node and every edge into it are dropped at the next
+    write (``register_edge`` or ``clear``), before its id can be reused.
+    Labels that cannot be weakly referenced (strings, ints, tuples) are held
+    until ``clear``.  Adding an edge that would close a directed cycle
+    raises ``MetaCycleError`` and leaves the edges unchanged.  Writers must
+    be serialized externally; concurrent readers are fine.
     """
 
     def __init__(self) -> None:
-        self._tokens: dict[int, int] = {}
-        self._keep: list = []
-        self._edges: set[tuple[int, int]] = set()
+        self._watches: dict[int, dict[int, None]] = {}
+        self._held: dict[int, object] = {}  # the label itself, or the observer's finalizer
+        self._dead: list[int] = []  # appended to by finalizers only, drained by writes
 
-    def _token(self, node) -> int:
+    def _node(self, node) -> int:
         key = id(node)
-        if key not in self._tokens:
-            self._tokens[key] = len(self._keep)
-            self._keep.append(node)
-        return self._tokens[key]
+        if key not in self._watches:
+            try:
+                held = weakref.finalize(node, self._dead.append, key)
+            except TypeError:
+                held = node
+            self._held[key] = held
+            self._watches[key] = {}
+        return key
 
-    def register_node(self, node) -> None:
-        self._token(node)
+    def _forget_dead(self) -> None:
+        dead = set()
+        while self._dead:
+            dead.add(self._dead.pop())
+        if dead:
+            for key in dead:
+                del self._watches[key], self._held[key]
+            for targets in self._watches.values():
+                for key in dead.intersection(targets):
+                    del targets[key]
 
     def register_edge(self, watcher, watched) -> None:
         """Record that ``watcher`` observes/modifies ``watched``; fail closed."""
-        a, b = self._token(watcher), self._token(watched)
-        self._edges.add((a, b))
-        report = check_well_founded(self.graph())
+        self._forget_dead()
+        a, b = self._node(watcher), self._node(watched)
+        self._watches[a][b] = None
+        report = check_well_founded(self._watches)
         if not report.well_founded:
-            self._edges.discard((a, b))
+            del self._watches[a][b]
             raise MetaCycleError(
                 f"edge would close an observation cycle: {report.cycle!r}"
             )
 
     def graph(self) -> dict[int, list[int]]:
-        adjacency: dict[int, list[int]] = {t: [] for t in range(len(self._keep))}
-        for a, b in sorted(self._edges):
-            adjacency[a].append(b)
-        return adjacency
+        """A copy of the edges, by node id; it may still list nodes collected
+        since the last write."""
+        return {key: list(targets) for key, targets in self._watches.items()}
 
     def clear(self) -> None:
-        self._tokens.clear()
-        self._keep.clear()
-        self._edges.clear()
+        for held in self._held.values():
+            if isinstance(held, weakref.finalize):
+                held.detach()
+        self._dead.clear()
+        self._watches.clear()
+        self._held.clear()
 
 
 _default_registry = MetaRegistry()
@@ -115,41 +136,29 @@ def check_well_founded(
     if meta_graph is None:
         meta_graph = (registry or _default_registry).graph()
 
-    nodes = list(meta_graph)
-    for targets in meta_graph.values():
-        for t in targets:
-            if t not in meta_graph and t not in nodes:
-                nodes.append(t)
+    nodes = dict.fromkeys(chain(meta_graph, chain.from_iterable(meta_graph.values())))
 
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-
-    def successors(n):
-        return tuple(meta_graph.get(n, ()))
+    color = dict.fromkeys(nodes, WHITE)
 
     for root in nodes:
         if color[root] != WHITE:
             continue
-        frames = [(root, iter(successors(root)))]
-        path = [root]
         color[root] = GREY
+        frames = [(root, iter(meta_graph.get(root, ())))]
         while frames:
             node, it = frames[-1]
-            advanced = False
             for nxt in it:
-                if color.get(nxt, WHITE) == GREY:
-                    cycle = tuple(path[path.index(nxt):])
-                    return WellFoundedReport(False, cycle)
-                if color.get(nxt, WHITE) == WHITE:
+                if color[nxt] == GREY:
+                    path = [n for n, _ in frames]
+                    return WellFoundedReport(False, tuple(path[path.index(nxt):]))
+                if color[nxt] == WHITE:
                     color[nxt] = GREY
-                    frames.append((nxt, iter(successors(nxt))))
-                    path.append(nxt)
-                    advanced = True
+                    frames.append((nxt, iter(meta_graph.get(nxt, ()))))
                     break
-            if not advanced:
+            else:
                 color[node] = BLACK
                 frames.pop()
-                path.pop()
     return WellFoundedReport(True, None)
 
 
@@ -224,52 +233,36 @@ def second_order_wrap(
     inputs: Iterable[Ident],
     outputs: Iterable[Ident],
     family: RuleFamily,
-    registry: MetaRegistry | None = None,
 ) -> Observer:
     """Build an observer that switches among its own rule tables.
 
     The wrapped state is (base state, active table index); each step
     applies the active table to the base state and the selection rule to
-    the index.  Self-modification stays inside one machine, so no
-    observation edge is added; the composite is only registered as a node.
+    the index.  Self-modification stays inside one machine, so nothing is
+    registered in the meta registry.
     """
-    states = tuple(states)
-    inputs = tuple(inputs)
-    outputs = tuple(outputs)
-    n_tables = len(family.tables)
+    states = _ordered_unique("states", states)
+    inputs = _ordered_unique("inputs", inputs)
+    outputs = _ordered_unique("outputs", outputs)
+    indices = range(len(family.tables))
+    keys = [(x, y) for x in states for y in inputs]
+    steps = [check_total(f"table {k} transition", t.transition, keys, states)
+             for k, t in enumerate(family.tables)]
+    emits = [check_total(f"table {k} output_map", t.output_map, states, outputs)
+             for k, t in enumerate(family.tables)]
+    meta = check_total("meta_update", family.meta_update,
+                       [(k, x, y) for k in indices for x, y in keys], indices)
 
-    wrapped_states = tuple((x, k) for x in states for k in range(n_tables))
-    transition = {}
-    output_map = {}
-    for (x, k) in wrapped_states:
-        table = family.tables[k]
-        try:
-            output_map[(x, k)] = table.output_map[x]
-        except KeyError:
-            raise DefinitionError(f"table {k} has no output for state {x!r}") from None
-        for y in inputs:
-            try:
-                nxt = table.transition[(x, y)]
-            except KeyError:
-                raise DefinitionError(f"table {k} has no transition for ({x!r}, {y!r})") from None
-            try:
-                k2 = family.meta_update[(k, x, y)]
-            except KeyError:
-                raise DefinitionError(f"meta update undefined for ({k}, {x!r}, {y!r})") from None
-            if not 0 <= k2 < n_tables:
-                raise DefinitionError(f"meta update points at missing table {k2!r}")
-            transition[((x, k), y)] = (nxt, k2)
-
-    wrapped = Observer(
+    wrapped_states = tuple((x, k) for x in states for k in indices)
+    return Observer(
         states=wrapped_states,
         inputs=inputs,
         outputs=outputs,
-        transition=transition,
-        output_map=output_map,
+        transition={((x, k), y): (steps[k][(x, y)], meta[(k, x, y)])
+                    for x, k in wrapped_states for y in inputs},
+        output_map={(x, k): emits[k][x] for x, k in wrapped_states},
         boundary="rule-switching wrapper",
     )
-    (registry or _default_registry).register_node(wrapped)
-    return wrapped
 
 
 # -- observer-relative facts -------------------------------------------------
@@ -291,8 +284,7 @@ class FactLedger:
     entries: tuple[FactEntry, ...] = ()
 
     def last_step(self, observer_id: Hashable) -> int | None:
-        steps = [e.step for e in self.entries if e.observer_id == observer_id]
-        return steps[-1] if steps else None
+        return next((e.step for e in reversed(self.entries) if e.observer_id == observer_id), None)
 
 
 def record_fact(

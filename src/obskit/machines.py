@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .core import Environment, Observer
+from .errors import DefinitionError
 
 
 def thermostat() -> Observer:
@@ -69,7 +70,7 @@ def scripted_environment(readings, actions) -> Environment:
     """
     readings = tuple(readings)
     if not readings:
-        raise ValueError("the scripted word must not be empty")
+        raise DefinitionError("the scripted word must not be empty")
     states = tuple(f"w{i}" for i in range(len(readings)))
     transition = {
         (states[i], a): states[min(i + 1, len(states) - 1)]

@@ -243,32 +243,20 @@ def equivalent(a: Observer, b: Observer) -> bool:
 def equivalence_partition(observers: list[Observer]) -> list[list[int]]:
     """Group indices of pairwise-equivalent observers.
 
-    Union-find over pairwise isomorphism checks; observers with different
-    invariant vectors are never compared directly.
+    Each observer is compared with one member of each class already found
+    among the observers with its invariant vector, and joins the first it
+    is equivalent to; observers with different vectors are never compared.
     """
-    n = len(observers)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_invariant: dict[tuple, list[int]] = {}
+    by_invariant: dict[tuple, list[list[int]]] = {}
     for i, obs in enumerate(observers):
-        by_invariant.setdefault(canonical_invariants(obs), []).append(i)
-
-    for bucket in by_invariant.values():
-        for pos, i in enumerate(bucket):
-            for j in bucket[pos + 1:]:
-                if find(i) != find(j) and equivalent(observers[i], observers[j]):
-                    parent[find(j)] = find(i)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+        classes = by_invariant.setdefault(canonical_invariants(obs), [])
+        for group in classes:
+            if equivalent(observers[group[0]], obs):
+                group.append(i)
+                break
+        else:
+            classes.append([i])
+    return sorted((g for classes in by_invariant.values() for g in classes), key=lambda g: g[0])
 
 
 def canonical_invariants(obs: Observer) -> tuple:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import product
 
@@ -198,6 +199,27 @@ def test_partial_meta_update_is_a_construction_error():
         second_order_wrap(base.states, base.inputs, base.outputs, family)
 
 
+def test_stray_table_and_meta_update_keys_are_construction_errors():
+    base = thermostat()
+    straight, _ = therm_tables()
+    meta = {(0, x, y): 0 for x in base.states for y in base.inputs}
+    ghost = RuleTable({**straight.transition, ("GHOST", "Cold"): "OFF"}, straight.output_map)
+    with pytest.raises(DefinitionError):
+        second_order_wrap(base.states, base.inputs, base.outputs, RuleFamily((ghost,), meta))
+    family = RuleFamily((straight,), {**meta, (5, "x", "y"): 0})
+    with pytest.raises(DefinitionError):
+        second_order_wrap(base.states, base.inputs, base.outputs, family)
+
+
+def test_non_integer_meta_update_is_a_construction_error():
+    base = thermostat()
+    straight, inverted = therm_tables()
+    meta = {(k, x, y): k for k in (0, 1) for x in base.states for y in base.inputs}
+    meta[(1, "ON", "Hot")] = "a"
+    with pytest.raises(DefinitionError):
+        second_order_wrap(base.states, base.inputs, base.outputs, RuleFamily((straight, inverted), meta))
+
+
 # -- well-foundedness ---------------------------------------------------------------
 
 def test_chain_is_well_founded():
@@ -256,6 +278,37 @@ def test_isolated_registries_do_not_interact():
         stack(b, a, Wiring(lift=dict(identity)), registry=mine)
 
 
+def registry_size_after_dropped_stacks(n: int) -> int:
+    rng = random.Random(3)
+    identity = {"0": "0", "1": "1"}
+    mine = MetaRegistry()
+    lower = shared_alphabet_observer(rng)
+    for _ in range(n):
+        stack(lower, shared_alphabet_observer(rng), Wiring(lift=dict(identity)), registry=mine)
+    gc.collect()
+    mine.register_edge("probe", lower)
+    return len(mine.graph())
+
+
+def test_registry_size_does_not_grow_with_dropped_stacks():
+    assert registry_size_after_dropped_stacks(5) == registry_size_after_dropped_stacks(50)
+
+
+def test_edges_into_a_collected_observer_go_at_the_next_write():
+    mine = MetaRegistry()
+    watched = thermostat()
+    gone = id(watched)
+    mine.register_edge("watcher", watched)
+    del watched
+    gc.collect()
+    mine.register_edge("other", "thing")
+    graph = mine.graph()
+    assert gone not in graph
+    assert all(gone not in targets for targets in graph.values())
+    assert len(graph) == 3
+    assert sum(len(targets) for targets in graph.values()) == 1
+
+
 def test_detector_matches_closure_oracle_exhaustively_on_three_nodes():
     nodes = ("A", "B", "C")
     pairs = [(u, v) for u in nodes for v in nodes]
@@ -311,6 +364,15 @@ def test_other_observers_have_independent_clocks():
     ledger = record_fact(FactLedger(), "probe-a", 9, "ping", "heard")
     ledger = record_fact(ledger, "probe-b", 1, "ping", "heard")
     assert len(ledger.entries) == 2
+
+
+def test_last_step_is_the_latest_step_of_that_observer():
+    ledger = FactLedger()
+    for who, step in (("a", 1), ("b", 4), ("a", 2), ("b", 7), ("a", 2)):
+        ledger = record_fact(ledger, who, step, "ping", "heard")
+    assert ledger.last_step("a") == 2
+    assert ledger.last_step("b") == 7
+    assert ledger.last_step("c") is None
 
 
 def test_facts_relative_to_unknown_observer_is_empty():

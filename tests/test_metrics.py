@@ -226,6 +226,11 @@ def test_scripted_environment_expresses_open_loop_words():
     assert reached.steps == 1
 
 
+def test_empty_scripted_word_is_a_definition_error():
+    with pytest.raises(DefinitionError):
+        scripted_environment([], thermostat().outputs)
+
+
 # -- expected_hitting_time ---------------------------------------------------------
 
 def test_two_state_chain_closed_form():
