@@ -4,6 +4,10 @@ All 256 elementary rules are supported; a rule number's 8-bit binary
 expansion is its next-cell table, read so that neighborhood (a, b, c)
 selects bit 4a + 2b + c.  Lattices are cyclic.
 
+Inside, a row of w cells is packed into one int with cell i in bit
+w - 1 - i (cell 0 most significant, so the binary digits read like the
+cells), and one kernel, ``_step``, updates every row, bare or embedded.
+
 An embedded observer owns a contiguous block of cells.  The block bits,
 read left to right, are the binary code of its current state; the two
 cells just outside the block are its sensors.  Each step the observer
@@ -19,74 +23,92 @@ environment through the standard coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
+from types import MappingProxyType
 
 from .core import Observer, Trace, TraceRecord
 from .errors import DefinitionError, EncodingError
 
 Bits = tuple[int, ...]
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_CELLS = bytes.maketrans(b"01", b"\0\1")
+_TEXT = bytes.maketrans(b"\0\1", b".#")
+
 
 @dataclass(frozen=True)
 class CARule:
-    """An elementary rule: number plus its 8-entry neighborhood table."""
+    """An elementary rule, identified by its number in 0..255."""
 
     number: int
-    table: dict
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.number, int) or not 0 <= self.number <= 255:
+            raise DefinitionError(f"rule number must be in 0..255, got {self.number!r}")
+
+    @property
+    def table(self) -> MappingProxyType:
+        """The neighborhood table, a read-only view derived from ``number``."""
+        neighborhoods = enumerate(product((0, 1), repeat=3))  # (a, b, c) is number 4a + 2b + c
+        return MappingProxyType({abc: (self.number >> i) & 1 for i, abc in neighborhoods})
 
     def __call__(self, left: int, center: int, right: int) -> int:
         return self.table[(left, center, right)]
 
 
 def rule_table(number: int) -> CARule:
-    """Build the rule whose table is the number's binary expansion."""
-    if not isinstance(number, int) or not 0 <= number <= 255:
-        raise DefinitionError(f"rule number must be in 0..255, got {number!r}")
-    table = {
-        (a, b, c): (number >> (4 * a + 2 * b + c)) & 1
-        for a, b, c in product((0, 1), repeat=3)
-    }
-    return CARule(number=number, table=table)
+    """The rule whose table is the number's binary expansion."""
+    return CARule(number)
+
+
+def _step(row: int, width: int, number: int) -> int:
+    """One update of a packed cyclic row: a cell with neighborhood m takes bit m of ``number``."""
+    mask = (1 << width) - 1
+    left = (row >> 1) | ((row & 1) << (width - 1))
+    right = ((row << 1) & mask) | (row >> (width - 1))
+    planes = ((mask ^ left, left), (mask ^ row, row), (mask ^ right, right))
+    out = 0
+    for m in range(8):
+        if (number >> m) & 1:
+            out |= planes[0][m >> 2] & planes[1][(m >> 1) & 1] & planes[2][m & 1]
+    return out
+
+
+def _pack(cells) -> int:
+    """The packed row of ``cells``; a truthy cell is a 1."""
+    return int(bytes(map(bool, cells)).translate(_DIGITS) or b"0", 2)
+
+
+def _unpack(row: int, width: int) -> Bits:
+    return tuple(f"{row:0{width}b}".encode().translate(_CELLS))
 
 
 def _check_cells(cells) -> Bits:
     cells = tuple(cells)
     if len(cells) < 3:
         raise DefinitionError("lattice width must be at least 3")
-    if any(b not in (0, 1) for b in cells):
+    if cells.count(0) + cells.count(1) != len(cells):
         raise DefinitionError("lattice cells must be bits")
     return cells
 
 
 def ca_step(cells, rule: CARule) -> Bits:
     """One synchronous update of a cyclic lattice."""
-    cells = _check_cells(cells)
-    w = len(cells)
-    return tuple(
-        rule.table[(cells[i - 1], cells[i], cells[(i + 1) % w])] for i in range(w)
-    )
+    return ca_evolution(cells, rule, 1)[1]
 
 
 def ca_evolution(cells, rule: CARule, steps: int) -> tuple[Bits, ...]:
     """The initial row plus ``steps`` updates."""
     if steps < 0:
         raise DefinitionError("steps must be non-negative")
-    rows = [_check_cells(cells)]
+    first = _check_cells(cells)
+    width, row = len(first), _pack(first)
+    rows = [first]
     for _ in range(steps):
-        rows.append(ca_step(rows[-1], rule))
+        row = _step(row, width, rule.number)
+        rows.append(_unpack(row, width))
     return tuple(rows)
-
-
-def _bits_of(code: int, width: int) -> Bits:
-    return tuple((code >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def _code_of(bits: Bits) -> int:
-    code = 0
-    for b in bits:
-        code = (code << 1) | b
-    return code
 
 
 @dataclass(frozen=True)
@@ -150,29 +172,26 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
     if steps < 0:
         raise DefinitionError("steps must be non-negative")
     obs = system.observer
-    rule = system.rule
     w = len(system.lattice)
     k = system.block_width
-    start = system.block_start
+    low = w - system.block_start - k  # bit of the block's rightmost cell
+    block = ((1 << k) - 1) << low
 
+    row = _pack(system.lattice)
     rows = [system.lattice]
     records = []
     for t in range(steps):
-        pre = rows[-1]
-        j = 2 * pre[(start - 1) % w] + pre[(start + k) % w]
-        code = obs.f[_code_of(pre[start:start + k])][j]
+        j = 2 * ((row >> ((low + k) % w)) & 1) + ((row >> ((low - 1) % w)) & 1)
+        code = obs.f[(row & block) >> low][j]
         action = obs.g[code]
 
-        nxt = [
-            rule.table[(pre[i - 1], pre[i], pre[(i + 1) % w])] for i in range(w)
-        ]
-        nxt[start:start + k] = _bits_of(code, k)
-        nxt[start], nxt[start + k - 1] = _bits_of(action, 2)
+        row = (_step(row, w, system.rule.number) & ~block) | (code << low)
+        row = (row & ~(1 << (low + k - 1))) | ((action >> 1) << (low + k - 1))
+        row = (row & ~(1 << low)) | ((action & 1) << low)
 
-        row = tuple(nxt)
-        rows.append(row)
-        held = obs.states[_code_of(row[start:start + k])]
-        records.append(TraceRecord(t, obs.inputs[j], held, obs.outputs[action], row))
+        rows.append(_unpack(row, w))
+        held = obs.states[(row & block) >> low]
+        records.append(TraceRecord(t, obs.inputs[j], held, obs.outputs[action], rows[-1]))
     return tuple(rows), Trace(tuple(records))
 
 
@@ -190,15 +209,12 @@ def transparent_observer(rule: CARule, block_width: int) -> Observer:
     inputs = tuple(product((0, 1), repeat=2))
     outputs = tuple(product((0, 1), repeat=2))
 
-    transition = {}
-    for bits in states:
-        for l, r in inputs:
-            padded = (l,) + bits + (r,)
-            nxt = tuple(
-                rule.table[(padded[i], padded[i + 1], padded[i + 2])]
-                for i in range(block_width)
-            )
-            transition[(bits, (l, r))] = nxt
+    # state i between sensed bits l and r is the padded code 2 * (l * n + i) + r
+    n = len(states)
+    transition = {
+        (bits, (l, r)): states[(_step(2 * (l * n + i) + r, block_width + 2, rule.number) >> 1) % n]
+        for i, bits in enumerate(states) for l, r in inputs
+    }
     output_map = {bits: (bits[0], bits[-1]) for bits in states}
     return Observer(
         states=states,
@@ -213,40 +229,23 @@ def transparent_observer(rule: CARule, block_width: int) -> Observer:
 def damping_observer(rule: CARule, block_width: int) -> Observer:
     """A transparent block whose actions pin its boundary cells to zero."""
     base = transparent_observer(rule, block_width)
-    return Observer(
-        states=base.states,
-        inputs=base.inputs,
-        outputs=base.outputs,
-        transition=base.transition,
-        output_map={bits: (0, 0) for bits in base.states},
-        boundary=f"damping block of {block_width} cells",
-    )
+    return replace(base, output_map=dict.fromkeys(base.states, (0, 0)),
+                   boundary=f"damping block of {block_width} cells")
 
 
 def render_text(rows) -> str:
     """Rows as text, one line per row, '.' for 0 and '#' for 1."""
-    return "\n".join("".join("#" if b else "." for b in row) for row in rows)
+    return "\n".join(bytes(map(bool, row)).translate(_TEXT).decode("ascii") for row in rows)
 
 
 def pbm_bytes(rows) -> bytes:
-    """Rows as a binary PBM (P4) image, 1 rendered black."""
+    """Rows as a binary PBM (P4) image, 1 rendered black, rows padded to whole bytes."""
     rows = tuple(tuple(r) for r in rows)
     if not rows:
         raise DefinitionError("cannot render an empty diagram")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DefinitionError("all diagram rows must have equal width")
+    size = (width + 7) // 8
     header = f"P4\n{width} {len(rows)}\n".encode("ascii")
-    body = bytearray()
-    for row in rows:
-        byte = 0
-        filled = 0
-        for bit in row:
-            byte = (byte << 1) | (1 if bit else 0)
-            filled += 1
-            if filled == 8:
-                body.append(byte)
-                byte, filled = 0, 0
-        if filled:
-            body.append(byte << (8 - filled))
-    return header + bytes(body)
+    return header + b"".join((_pack(r) << (8 * size - width)).to_bytes(size, "big") for r in rows)

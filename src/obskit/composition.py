@@ -58,7 +58,7 @@ class MetaRegistry:
     write (``register_edge`` or ``clear``), before its id can be reused.
     Labels that cannot be weakly referenced (strings, ints, tuples) are held
     until ``clear``.  Adding an edge that would close a directed cycle
-    raises ``MetaCycleError`` and leaves the edges unchanged.  Writers must
+    raises ``MetaCycleError`` and leaves the graph unchanged.  Writers must
     be serialized externally; concurrent readers are fine.
     """
 
@@ -90,16 +90,27 @@ class MetaRegistry:
                     del targets[key]
 
     def register_edge(self, watcher, watched) -> None:
-        """Record that ``watcher`` observes/modifies ``watched``; fail closed."""
+        """Record that ``watcher`` observes/modifies ``watched``; fail closed.
+
+        The graph is acyclic, so the edge closes a cycle exactly when
+        ``watched`` already reaches ``watcher``; only that search runs.
+        """
         self._forget_dead()
-        a, b = self._node(watcher), self._node(watched)
-        self._watches[a][b] = None
-        report = check_well_founded(self._watches)
-        if not report.well_founded:
-            del self._watches[a][b]
-            raise MetaCycleError(
-                f"edge would close an observation cycle: {report.cycle!r}"
-            )
+        a, b = id(watcher), id(watched)
+        reached = {b: None}  # node -> the node the search reached it from
+        todo = [b]
+        while todo:
+            node = todo.pop()
+            for nxt in self._watches.get(node, ()):
+                if nxt not in reached:
+                    reached[nxt] = node
+                    todo.append(nxt)
+        if a in reached:
+            path = [a]
+            while path[-1] != b:
+                path.append(reached[path[-1]])
+            raise MetaCycleError(f"edge would close an observation cycle: {tuple(path[::-1])!r}")
+        self._watches[self._node(watcher)][self._node(watched)] = None
 
     def graph(self) -> dict[int, list[int]]:
         """A copy of the edges, by node id; it may still list nodes collected

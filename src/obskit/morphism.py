@@ -11,36 +11,42 @@ behavioral quotient that drives the redundancy metric.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
+from types import MappingProxyType
 
-from .core import Ident, Observer, check_total
+from .core import Ident, Observer, _Machine, check_total
 from .errors import IdentifierError, MorphismShapeError
 
 
-@dataclass(frozen=True)
-class ObserverMorphism:
+@dataclass(frozen=True, eq=False)
+class ObserverMorphism(_Machine):
     """A triple of maps from one observer's sets into another's.
 
-    ``bijective`` is derived: it is true when all three maps are injective,
-    which for maps between equal-size finite sets is the same as being
-    bijections.
+    The maps are read-only ``types.MappingProxyType`` views of private
+    copies, so a morphism is an immutable, hashable value that pickles
+    through its constructor.  ``bijective`` is derived: it is true when all
+    three maps are injective, which for maps between equal-size finite sets
+    is the same as being bijections.
     """
 
-    state_map: dict
-    input_map: dict
-    output_map: dict
+    state_map: Mapping
+    input_map: Mapping
+    output_map: Mapping
     bijective: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "state_map", dict(self.state_map))
-        object.__setattr__(self, "input_map", dict(self.input_map))
-        object.__setattr__(self, "output_map", dict(self.output_map))
+        for name in ("state_map", "input_map", "output_map"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         injective = all(
             len(set(m.values())) == len(m)
             for m in (self.state_map, self.input_map, self.output_map)
         )
         object.__setattr__(self, "bijective", injective)
+
+    def __hash__(self) -> int:
+        return hash(tuple(frozenset(m.items()) for m in (self.state_map, self.input_map, self.output_map)))
 
     def inverse(self) -> "ObserverMorphism":
         """Componentwise inverse; only defined for bijective morphisms."""

@@ -213,6 +213,38 @@ def eca_oracle_run(cells, number: int, steps: int):
     return rows
 
 
+def embedded_oracle_run(cells, number: int, start: int, obs: Observer, steps: int):
+    """Fresh embedded loop, one cell at a time, through the observer's label tables.
+
+    Returns the rows and, per step, (t, reading, held state, action, row).
+    """
+    k = len(obs.states).bit_length() - 1
+    w = len(cells)
+
+    def state_at(row):
+        code = 0
+        for i in range(start, start + k):
+            code = 2 * code + row[i]
+        return obs.states[code]
+
+    rows, records = [tuple(cells)], []
+    for t in range(steps):
+        pre = rows[-1]
+        reading = obs.inputs[2 * pre[(start - 1) % w] + pre[(start + k) % w]]
+        state = obs.transition[(state_at(pre), reading)]
+        action = obs.output_map[state]
+        code, pair = obs.states.index(state), obs.outputs.index(action)
+        nxt = list(eca_oracle_step(pre, number))
+        for i in range(k):
+            nxt[start + i] = (code >> (k - 1 - i)) & 1
+        nxt[start] = pair >> 1
+        nxt[start + k - 1] = pair & 1  # for k = 1 the right bit wins
+        row = tuple(nxt)
+        rows.append(row)
+        records.append((t, reading, state_at(row), action, row))
+    return rows, records
+
+
 # -- fixed observer corpus -----------------------------------------------------------
 
 def observer_corpus(seed: int = 2024, size: int = 50) -> list[Observer]:

@@ -21,7 +21,7 @@ from obskit.ca import (
 from obskit.core import Observer
 from obskit.errors import DefinitionError, EncodingError
 
-from conftest import eca_oracle_run
+from conftest import eca_oracle_run, embedded_oracle_run
 
 RULE_110_TABLE = {
     (1, 1, 1): 0,
@@ -200,6 +200,33 @@ def test_transparent_embedding_equals_pure_rule_on_random_wide_lattices():
             assert held == code
 
 
+def random_block_observer(rng: random.Random, k: int) -> Observer:
+    states = tuple(f"q{i}" for i in range(2 ** k))
+    inputs = tuple(f"in{j}" for j in range(4))
+    outputs = tuple(f"act{j}" for j in range(4))
+    return Observer(
+        states=states, inputs=inputs, outputs=outputs,
+        transition={(x, y): rng.choice(states) for x in states for y in inputs},
+        output_map={x: rng.choice(outputs) for x in states},
+    )
+
+
+def test_random_observers_match_the_per_cell_oracle_at_every_block_start():
+    # covers both wrap-around sensors (start 0 reads cell w-1, start w-k
+    # reads cell 0) and k = 1, where both action bits land on one cell
+    rng = random.Random(5150)
+    for k in (1, 2, 3, 4):
+        for width in range(k + 2, k + 8):
+            for start in range(width - k + 1):
+                number = rng.randrange(256)
+                cells = tuple(rng.randint(0, 1) for _ in range(width))
+                obs = random_block_observer(rng, k)
+                rows, trace = run_embedded(embed(rule_table(number), cells, start, obs), 6)
+                want_rows, want_records = embedded_oracle_run(cells, number, start, obs, 6)
+                assert list(rows) == want_rows
+                assert [(r.t, r.y, r.x, r.z, r.s) for r in trace] == want_records
+
+
 def test_damping_observer_absorbs_an_incoming_pattern():
     rule = rule_table(110)
     width, start, k = 31, 5, 3
@@ -217,11 +244,35 @@ def test_render_text_uses_dots_and_hashes():
     assert render_text([(0, 1, 0), (1, 1, 1)]) == ".#.\n###"
 
 
+def decode_p4(image: bytes):
+    """Rows of a P4 image, each row's padding bits checked to be zero."""
+    magic, dims, body = image.split(b"\n", 2)
+    assert magic == b"P4"
+    width, height = map(int, dims.split())
+    stride = (width + 7) // 8
+    assert len(body) == stride * height
+    rows = []
+    for r in range(height):
+        bits = [(byte >> (7 - i)) & 1 for byte in body[r * stride:(r + 1) * stride] for i in range(8)]
+        assert not any(bits[width:])
+        rows.append(tuple(bits[:width]))
+    return rows
+
+
 def test_pbm_bytes_layout():
     image = pbm_bytes([(1, 0, 1)])
     assert image == b"P4\n3 1\n\xa0"
     wide = pbm_bytes([(1,) * 9])
     assert wide == b"P4\n9 1\n\xff\x80"
+    assert pbm_bytes([()]) == b"P4\n0 1\n"
+    rng = random.Random(404)
+    for width in (0, 1, 7, 8, 9, 16, 17):
+        for height in (1, 2, 5):
+            rows = [tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(height)]
+            rows[0] = (1,) * width  # a full row sets every bit next to the padding
+            image = pbm_bytes(rows)
+            assert image.startswith(f"P4\n{width} {height}\n".encode())
+            assert decode_p4(image) == rows
 
 
 def test_pbm_rejects_ragged_rows():

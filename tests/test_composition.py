@@ -309,6 +309,29 @@ def test_edges_into_a_collected_observer_go_at_the_next_write():
     assert sum(len(targets) for targets in graph.values()) == 1
 
 
+def test_register_edge_refuses_exactly_the_edges_that_close_a_cycle():
+    rng = random.Random(31)
+    nodes = [f"n{i}" for i in range(6)]
+    refused = 0
+    for _ in range(60):
+        mine = MetaRegistry()
+        for _ in range(12):
+            u, v = rng.choice(nodes), rng.choice(nodes)
+            before = mine.graph()
+            with_edge = {key: list(targets) for key, targets in before.items()}
+            with_edge.setdefault(id(u), []).append(id(v))
+            if cycle_oracle(with_edge):
+                refused += 1
+                with pytest.raises(MetaCycleError):
+                    mine.register_edge(u, v)
+                assert mine.graph() == before
+            else:
+                mine.register_edge(u, v)
+                edges = {key: set(targets) for key, targets in mine.graph().items() if targets}
+                assert edges == {key: set(t) for key, t in with_edge.items() if t}
+    assert refused > 50
+
+
 def test_detector_matches_closure_oracle_exhaustively_on_three_nodes():
     nodes = ("A", "B", "C")
     pairs = [(u, v) for u in nodes for v in nodes]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obskit.ca import rule_table
 from obskit.core import (
     CoupledSystem,
     Environment,
@@ -22,7 +23,8 @@ from obskit.errors import (
     IdentifierError,
     IncompatibleAlphabetsError,
 )
-from obskit.machines import constant_environment, flip_environment, thermostat
+from obskit.machines import constant_environment, flip_environment, redundant_observer, thermostat
+from obskit.morphism import identity_morphism
 
 from conftest import random_system
 
@@ -70,6 +72,9 @@ def test_incompatible_alphabets_rejected_at_coupling():
     (thermostat, "transition", ("OFF", "Cold")),
     (thermostat, "output_map", "OFF"),
     (flip_environment, "observation", "Cold"),
+    pytest.param(lambda: rule_table(110), "table", (0, 0, 0), id="rule_110-table"),
+    pytest.param(lambda: identity_morphism(thermostat()), "state_map", "OFF",
+                 id="thermostat_identity-state_map-OFF"),
 ])
 def test_tables_are_read_only(make, table, key):
     machine = make()
@@ -83,7 +88,17 @@ def test_equal_observers_hash_equal():
     assert len({thermostat(), thermostat(), flip_environment()}) == 2
 
 
-@pytest.mark.parametrize("make", [thermostat, flip_environment])
+def test_equal_morphisms_and_rules_hash_equal():
+    assert hash(identity_morphism(thermostat())) == hash(identity_morphism(thermostat()))
+    assert len({identity_morphism(thermostat()), identity_morphism(redundant_observer())}) == 2
+    assert len({rule_table(110), rule_table(110), rule_table(30)}) == 2
+
+
+@pytest.mark.parametrize("make", [
+    thermostat,
+    flip_environment,
+    pytest.param(lambda: identity_morphism(thermostat()), id="thermostat_identity"),
+])
 def test_machines_survive_pickle_and_deepcopy(make):
     machine = make()
     assert pickle.loads(pickle.dumps(machine)) == machine
