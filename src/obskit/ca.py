@@ -23,6 +23,7 @@ environment through the standard coupling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from itertools import product
 from types import MappingProxyType
@@ -60,6 +61,19 @@ class CARule:
 def rule_table(number: int) -> CARule:
     """The rule whose table is the number's binary expansion."""
     return CARule(number)
+
+
+def _number(rule) -> int:
+    if not isinstance(rule, CARule):
+        raise DefinitionError(f"rule must be a CARule (see rule_table), got {rule!r}")
+    return rule.number
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DefinitionError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _step(row: int, width: int, number: int) -> int:
@@ -100,13 +114,14 @@ def ca_step(cells, rule: CARule) -> Bits:
 
 def ca_evolution(cells, rule: CARule, steps: int) -> tuple[Bits, ...]:
     """The initial row plus ``steps`` updates."""
+    number, steps = _number(rule), _integer(steps, "steps")
     if steps < 0:
         raise DefinitionError("steps must be non-negative")
     first = _check_cells(cells)
     width, row = len(first), _pack(first)
     rows = [first]
     for _ in range(steps):
-        row = _step(row, width, rule.number)
+        row = _step(row, width, number)
         rows.append(_unpack(row, width))
     return tuple(rows)
 
@@ -130,6 +145,8 @@ def embed(rule: CARule, lattice, block_start: int, observer: Observer) -> Embedd
     the four (left bit, right bit) pairs as 2*left + right.  The block must
     leave at least two cells of environment on the lattice.
     """
+    _number(rule)
+    block_start = _integer(block_start, "block start")
     lattice = _check_cells(lattice)
     width = len(lattice)
     n_states = len(observer.states)
@@ -169,6 +186,7 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
     after the step (action overwrites included), the emitted action pair,
     and the full new lattice row.
     """
+    steps = _integer(steps, "steps")
     if steps < 0:
         raise DefinitionError("steps must be non-negative")
     obs = system.observer
@@ -203,6 +221,7 @@ def transparent_observer(rule: CARule, block_width: int) -> Observer:
     as edge neighbors, and the action repeats the new boundary bits so the
     overwrite changes nothing.
     """
+    number, block_width = _number(rule), _integer(block_width, "block width")
     if block_width < 1:
         raise DefinitionError("block width must be at least 1")
     states = tuple(product((0, 1), repeat=block_width))
@@ -212,7 +231,7 @@ def transparent_observer(rule: CARule, block_width: int) -> Observer:
     # state i between sensed bits l and r is the padded code 2 * (l * n + i) + r
     n = len(states)
     transition = {
-        (bits, (l, r)): states[(_step(2 * (l * n + i) + r, block_width + 2, rule.number) >> 1) % n]
+        (bits, (l, r)): states[(_step(2 * (l * n + i) + r, block_width + 2, number) >> 1) % n]
         for i, bits in enumerate(states) for l, r in inputs
     }
     output_map = {bits: (bits[0], bits[-1]) for bits in states}

@@ -13,8 +13,6 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import CoupledSystem, JointState, Observer
 from .errors import CapExceededError, DefinitionError, IdentifierError, NumericalError
 from .morphism import minimize
@@ -112,6 +110,7 @@ def adaptation_time(
 
 def _closure(edges: np.ndarray, seeds: list[int], blocked: np.ndarray) -> np.ndarray:
     """Mask of the states reachable from ``seeds`` along ``edges``, not searching past ``blocked``."""
+    import numpy as np
     reached = np.zeros(len(edges), dtype=bool)
     reached[seeds] = True
     frontier = reached & ~blocked
@@ -136,6 +135,7 @@ def expected_hitting_time(
     one of those states cannot reach the goal (a closed non-goal
     component), the system is singular and ``NumericalError`` is raised.
     """
+    import numpy as np  # only this solver needs numpy, so importing obskit does not load it
     try:
         P = np.asarray(transition_matrix, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -161,6 +161,34 @@ def test_embed_rejects_wrapping_block():
         embed(rule, (0,) * 8, 6, obs)
 
 
+_RULE = rule_table(110)
+_OBS = transparent_observer(_RULE, 2)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ca_evolution((0, 1, 0, 0), _RULE, 2.5), id="ca_evolution-steps"),
+    pytest.param(lambda: transparent_observer(_RULE, 2.0), id="transparent_observer-width"),
+    pytest.param(lambda: damping_observer(_RULE, "2"), id="damping_observer-width"),
+    pytest.param(lambda: embed(_RULE, (0,) * 8, 1.0, _OBS), id="embed-position"),
+    pytest.param(lambda: run_embedded(embed(_RULE, (0,) * 8, 1, _OBS), 3.0), id="run_embedded-steps"),
+])
+def test_non_integer_counts_and_positions_are_definition_errors(call):
+    with pytest.raises(DefinitionError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda rule: ca_step((0, 1, 0, 0), rule), id="ca_step"),
+    pytest.param(lambda rule: ca_evolution((0, 1, 0, 0), rule, 2), id="ca_evolution"),
+    pytest.param(lambda rule: transparent_observer(rule, 2), id="transparent_observer"),
+    pytest.param(lambda rule: damping_observer(rule, 2), id="damping_observer"),
+    pytest.param(lambda rule: embed(rule, (0,) * 8, 1, _OBS), id="embed"),
+])
+def test_a_plain_int_rule_is_a_definition_error(call):
+    with pytest.raises(DefinitionError, match="CARule"):
+        call(110)
+
+
 def test_zero_steps_returns_initial_row_and_empty_trace():
     rule = rule_table(110)
     system = embed(rule, single_seed(11), 1, transparent_observer(rule, 3))

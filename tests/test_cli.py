@@ -290,6 +290,42 @@ def test_ca_bad_pattern_is_domain_error(capsys):
     assert "error" in err
 
 
+# -- start-up ----------------------------------------------------------------------------------------
+# Each check runs in a fresh interpreter: the test process has already loaded
+# numpy, which conftest.py imports.
+
+def fresh_interpreter(code):
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    return result.stdout.splitlines()
+
+
+def dispatching(*argv):
+    return f"from obskit.cli import dispatch; assert dispatch({list(argv)!r}) == 0"
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import obskit", id="import-obskit"),
+    pytest.param("import obskit.cli", id="import-cli"),
+    pytest.param(dispatching("complexity", THERMO), id="complexity"),
+    pytest.param(dispatching("ca", "--rule", "110", "--width", "15", "--steps", "10",
+                             "--init", "single", "--embed", ECA_OBS, "--at", "2"), id="ca-embed"),
+])
+def test_numpy_free_paths_do_not_load_numpy(code):
+    assert fresh_interpreter(code)[-1] == "False"
+
+
+def test_hit_loads_numpy_and_prints_the_in_process_value(capsys):
+    argv = ("hit", "--chain", CHAIN2, "--start", "0", "--goal", "1")
+    *printed, loaded = fresh_interpreter(dispatching(*argv))
+    assert loaded == "True"
+    _, out, _ = run_cli(capsys, *argv)
+    assert printed == out.splitlines()
+    assert abs(float(printed[0]) - 2.0) <= 1e-9
+
+
 # -- usage and plumbing ------------------------------------------------------------------------------
 
 def test_unknown_subcommand_is_usage_error(capsys):
