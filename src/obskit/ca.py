@@ -7,6 +7,9 @@ selects bit 4a + 2b + c.  Lattices are cyclic.
 Inside, a row of w cells is packed into one int with cell i in bit
 w - 1 - i (cell 0 most significant, so the binary digits read like the
 cells), and one kernel, ``_step``, updates every row, bare or embedded.
+The diagrams ``ca_evolution`` and ``run_embedded`` return are tuples of
+bit tuples that also keep those packed rows, and ``render_text`` and
+``pbm_bytes`` read them instead of packing each row again.
 
 An embedded observer owns a contiguous block of cells.  The block bits,
 read left to right, are the binary code of its current state; the two
@@ -36,6 +39,7 @@ Bits = tuple[int, ...]
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _CELLS = bytes.maketrans(b"01", b"\0\1")
 _TEXT = bytes.maketrans(b"\0\1", b".#")
+_GLYPHS = bytes.maketrans(b"01", b".#")
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,19 @@ def _unpack(row: int, width: int) -> Bits:
     return tuple(f"{row:0{width}b}".encode().translate(_CELLS))
 
 
+class _Diagram(tuple):
+    """Rows of bits, plus ``_packed``: the same rows packed, for the renderers.
+
+    Equality, hash and repr are the tuple's; slices and sums are plain tuples.
+    """
+
+
+def _diagram(rows: list, packed: list) -> tuple[Bits, ...]:
+    diagram = _Diagram(rows)
+    diagram._packed = tuple(packed)
+    return diagram
+
+
 def _check_cells(cells) -> Bits:
     cells = tuple(cells)
     if len(cells) < 3:
@@ -119,16 +136,24 @@ def ca_evolution(cells, rule: CARule, steps: int) -> tuple[Bits, ...]:
         raise DefinitionError("steps must be non-negative")
     first = _check_cells(cells)
     width, row = len(first), _pack(first)
-    rows = [first]
+    rows, packed = [first], [row]
     for _ in range(steps):
         row = _step(row, width, number)
         rows.append(_unpack(row, width))
-    return tuple(rows)
+        packed.append(row)
+    return _diagram(rows, packed)
 
 
 @dataclass(frozen=True)
 class EmbeddedSystem:
-    """A rule, a lattice, and the observer owning a block of its cells."""
+    """A rule, a lattice, and the observer owning a block of its cells.
+
+    The observer's sets are matched to the block positionally: state number
+    i encodes the block bit pattern with value i, inputs and outputs number
+    the four (left bit, right bit) pairs as 2*left + right.  The block must
+    lie inside the lattice without wrapping and leave at least two cells of
+    environment on it.
+    """
 
     rule: CARule
     lattice: Bits
@@ -136,46 +161,48 @@ class EmbeddedSystem:
     block_width: int
     observer: Observer
 
+    def __post_init__(self) -> None:
+        _number(self.rule)
+        start = _integer(self.block_start, "block start")
+        k = _integer(self.block_width, "block width")
+        lattice = _check_cells(self.lattice)
+        width = len(lattice)
+        obs = self.observer
+        n_states = len(obs.states)
+        if n_states < 2 or n_states & (n_states - 1):
+            raise EncodingError(
+                f"observer needs a power-of-two state count to encode a block, got {n_states}"
+            )
+        if k != n_states.bit_length() - 1:
+            raise EncodingError(
+                f"observer with {n_states} states encodes a block of "
+                f"{n_states.bit_length() - 1} cells, not {k}"
+            )
+        if len(obs.inputs) != 4:
+            raise EncodingError(
+                f"observer needs exactly 4 inputs for the two frontier bits, got {len(obs.inputs)}"
+            )
+        if len(obs.outputs) != 4:
+            raise EncodingError(
+                f"observer needs exactly 4 outputs for its two action bits, got {len(obs.outputs)}"
+            )
+        if k + 2 > width:
+            raise DefinitionError(f"block of width {k} does not fit a lattice of width {width}")
+        if not 0 <= start or start + k > width:
+            raise DefinitionError("block must lie inside the lattice without wrapping")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "block_start", start)
+        object.__setattr__(self, "block_width", k)
+
 
 def embed(rule: CARule, lattice, block_start: int, observer: Observer) -> EmbeddedSystem:
     """Designate a block of lattice cells as an embedded observer.
 
-    The observer's sets are matched to the block positionally: state number
-    i encodes the block bit pattern with value i, inputs and outputs number
-    the four (left bit, right bit) pairs as 2*left + right.  The block must
-    leave at least two cells of environment on the lattice.
+    The block is as wide as the observer's state count encodes; see
+    ``EmbeddedSystem`` for the matching and the checks.
     """
-    _number(rule)
-    block_start = _integer(block_start, "block start")
-    lattice = _check_cells(lattice)
-    width = len(lattice)
-    n_states = len(observer.states)
-    block_width = n_states.bit_length() - 1
-    if block_width < 1 or 2 ** block_width != n_states:
-        raise EncodingError(
-            f"observer needs a power-of-two state count to encode a block, got {n_states}"
-        )
-    if len(observer.inputs) != 4:
-        raise EncodingError(
-            f"observer needs exactly 4 inputs for the two frontier bits, got {len(observer.inputs)}"
-        )
-    if len(observer.outputs) != 4:
-        raise EncodingError(
-            f"observer needs exactly 4 outputs for its two action bits, got {len(observer.outputs)}"
-        )
-    if block_width + 2 > width:
-        raise DefinitionError(
-            f"block of width {block_width} does not fit a lattice of width {width}"
-        )
-    if not 0 <= block_start or block_start + block_width > width:
-        raise DefinitionError("block must lie inside the lattice without wrapping")
-    return EmbeddedSystem(
-        rule=rule,
-        lattice=lattice,
-        block_start=block_start,
-        block_width=block_width,
-        observer=observer,
-    )
+    block_width = len(observer.states).bit_length() - 1
+    return EmbeddedSystem(rule, lattice, block_start, block_width, observer)
 
 
 def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], Trace]:
@@ -196,7 +223,7 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
     block = ((1 << k) - 1) << low
 
     row = _pack(system.lattice)
-    rows = [system.lattice]
+    rows, packed = [system.lattice], [row]
     records = []
     for t in range(steps):
         j = 2 * ((row >> ((low + k) % w)) & 1) + ((row >> ((low - 1) % w)) & 1)
@@ -208,9 +235,10 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
         row = (row & ~(1 << low)) | ((action & 1) << low)
 
         rows.append(_unpack(row, w))
+        packed.append(row)
         held = obs.states[(row & block) >> low]
         records.append(TraceRecord(t, obs.inputs[j], held, obs.outputs[action], rows[-1]))
-    return tuple(rows), Trace(tuple(records))
+    return _diagram(rows, packed), Trace(tuple(records))
 
 
 def transparent_observer(rule: CARule, block_width: int) -> Observer:
@@ -254,17 +282,26 @@ def damping_observer(rule: CARule, block_width: int) -> Observer:
 
 def render_text(rows) -> str:
     """Rows as text, one line per row, '.' for 0 and '#' for 1."""
+    if isinstance(rows, _Diagram):
+        w = len(rows[0])
+        text = b"\n".join(f"{r:0{w}b}".encode() for r in rows._packed)
+        return text.translate(_GLYPHS).decode("ascii")
     return "\n".join(bytes(map(bool, row)).translate(_TEXT).decode("ascii") for row in rows)
 
 
 def pbm_bytes(rows) -> bytes:
     """Rows as a binary PBM (P4) image, 1 rendered black, rows padded to whole bytes."""
-    rows = tuple(tuple(r) for r in rows)
-    if not rows:
-        raise DefinitionError("cannot render an empty diagram")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DefinitionError("all diagram rows must have equal width")
+    if isinstance(rows, _Diagram):
+        width, packed = len(rows[0]), rows._packed
+    else:
+        rows = tuple(tuple(r) for r in rows)
+        if not rows:
+            raise DefinitionError("cannot render an empty diagram")
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise DefinitionError("all diagram rows must have equal width")
+        packed = map(_pack, rows)
     size = (width + 7) // 8
+    pad = 8 * size - width
     header = f"P4\n{width} {len(rows)}\n".encode("ascii")
-    return header + b"".join((_pack(r) << (8 * size - width)).to_bytes(size, "big") for r in rows)
+    return header + b"".join((r << pad).to_bytes(size, "big") for r in packed)

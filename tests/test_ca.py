@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obskit.ca import (
+    EmbeddedSystem,
     ca_evolution,
     ca_step,
     damping_observer,
@@ -19,7 +24,7 @@ from obskit.ca import (
     transparent_observer,
 )
 from obskit.core import Observer
-from obskit.errors import DefinitionError, EncodingError
+from obskit.errors import DefinitionError, EncodingError, ObskitError
 
 from conftest import eca_oracle_run, embedded_oracle_run
 
@@ -189,6 +194,27 @@ def test_a_plain_int_rule_is_a_definition_error(call):
         call(110)
 
 
+@pytest.mark.parametrize("args, error", [
+    pytest.param((110, (0,) * 8, 1, 2, _OBS), DefinitionError, id="int-rule"),
+    pytest.param((_RULE, (0,) * 8, 1.0, 2, _OBS), DefinitionError, id="float-start"),
+    pytest.param((_RULE, (0,) * 8, 1, 2.0, _OBS), DefinitionError, id="float-width"),
+    pytest.param((_RULE, (0, 2, 0, 0, 0), 1, 2, _OBS), DefinitionError, id="non-bit-lattice"),
+    pytest.param((_RULE, (0,) * 8, 1, 3, _OBS), EncodingError, id="width-not-the-state-code"),
+    pytest.param((_RULE, (0,) * 8, 7, 2, _OBS), DefinitionError, id="wrapping-block"),
+    pytest.param((_RULE, (0,) * 8, -1, 2, _OBS), DefinitionError, id="negative-start"),
+    pytest.param((_RULE, (0,) * 3, 0, 2, _OBS), DefinitionError, id="no-room-for-environment"),
+])
+def test_a_directly_built_embedded_system_is_checked(args, error):
+    with pytest.raises(error):
+        EmbeddedSystem(*args)
+
+
+def test_a_directly_built_embedded_system_equals_the_embedded_one():
+    system = EmbeddedSystem(_RULE, [0, 1] * 4, 3, 2, _OBS)
+    assert system == embed(_RULE, (0, 1) * 4, 3, _OBS)
+    assert run_embedded(system, 5) == run_embedded(embed(_RULE, (0, 1) * 4, 3, _OBS), 5)
+
+
 def test_zero_steps_returns_initial_row_and_empty_trace():
     rule = rule_table(110)
     system = embed(rule, single_seed(11), 1, transparent_observer(rule, 3))
@@ -306,3 +332,95 @@ def test_pbm_bytes_layout():
 def test_pbm_rejects_ragged_rows():
     with pytest.raises(DefinitionError):
         pbm_bytes([(1, 0), (1,)])
+
+
+# -- rendering returned diagrams -------------------------------------------------------
+# Diagrams from ca_evolution and run_embedded keep their packed rows, and the
+# renderers read those; a plain-tuple copy takes the generic path.
+
+def pbm_or_error(rows):
+    try:
+        return pbm_bytes(rows)
+    except ObskitError as exc:
+        return type(exc)
+
+
+def renders(rows):
+    """Text and P4 renderings of ``rows``, the P4 one possibly an error type."""
+    return render_text(rows), pbm_or_error(rows)
+
+
+def assert_renders_like_a_plain_copy(diagram):
+    plain = tuple(map(tuple, diagram))
+    assert diagram == plain and hash(diagram) == hash(plain) and repr(diagram) == repr(plain)
+    want = renders(plain)
+    assert renders(diagram) == want
+    assert renders(pickle.loads(pickle.dumps(diagram))) == want
+    assert renders(copy.deepcopy(diagram)) == want
+    for part in (diagram[1:], diagram[::2], diagram + plain):
+        assert renders(part) == renders(tuple(map(tuple, part)))
+
+
+def diagrams_of(number, width, steps, rng):
+    """A bare run of one random row, and that row with a transparent and a damping block."""
+    rule = rule_table(number)
+    cells = tuple(rng.randint(0, 1) for _ in range(width))
+    yield ca_evolution(cells, rule, steps)
+    k = min(width - 2, rng.choice((1, 2, 3)))
+    start = rng.randint(0, width - k)
+    for make in (transparent_observer, damping_observer):
+        yield run_embedded(embed(rule, cells, start, make(rule, k)), steps)[0]
+
+
+def test_every_rule_renders_its_packed_rows_like_a_plain_copy():
+    rng = random.Random(2561)
+    for number in range(256):
+        for width in range(3, 21):
+            for diagram in diagrams_of(number, width, (number + width) % 6, rng):
+                assert_renders_like_a_plain_copy(diagram)
+
+
+@pytest.mark.parametrize("width", [1023, 1024, 1025])
+def test_wide_diagrams_render_their_packed_rows_like_a_plain_copy(width):
+    rng = random.Random(width)
+    for number in range(256):
+        for diagram in diagrams_of(number, width, number % 4, rng):
+            plain = tuple(map(tuple, diagram))
+            assert diagram == plain and renders(diagram) == renders(plain)
+    for number in (30, 90, 110, 184):
+        for diagram in diagrams_of(number, width, 3, rng):
+            assert_renders_like_a_plain_copy(diagram)
+
+
+def oracle_text(rows):
+    return "\n".join("".join("#" if cell else "." for cell in row) for row in rows)
+
+
+def oracle_pbm(rows):
+    """The P4 image, or DefinitionError for an empty or ragged diagram."""
+    rows = [[1 if cell else 0 for cell in row] for row in rows]
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        return DefinitionError
+    width = len(rows[0])
+    image = f"P4\n{width} {len(rows)}\n".encode()
+    for row in rows:
+        bits = "".join(map(str, row)) + "0" * (-width % 8)
+        image += bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+    return image
+
+
+CELLS = (0, 1, 2, -1, True, False, None, "", "x", 0.0, 0.5, (), (0,), [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_any_rows_render_like_the_generic_oracle(seed):
+    rng = random.Random(seed)
+    width = rng.randint(0, 20)
+    cells = [[rng.choice(CELLS) for _ in range(width if rng.random() < 0.8 else rng.randint(0, 20))]
+             for _ in range(rng.randint(0, 6))]
+    shapes = (list, tuple, lambda xs: (x for x in xs))
+    outer, inner = rng.choice(shapes), rng.choice(shapes)
+    fresh = lambda: outer(inner(row) for row in cells)  # noqa: E731
+    assert render_text(fresh()) == oracle_text(cells)
+    assert pbm_or_error(fresh()) == oracle_pbm(cells)

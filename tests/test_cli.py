@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
+from obskit import ca
 from obskit.cli import dispatch
 from obskit.documents import parse_observer
 
@@ -280,6 +282,27 @@ def test_ca_writes_pbm(tmp_path, capsys):
     payload = image.read_bytes()
     assert payload.startswith(b"P4\n8 4\n")
     assert len(payload) == len(b"P4\n8 4\n") + 4  # one byte per 8-cell row
+
+
+@pytest.mark.parametrize("embedded", [False, True], ids=["bare", "embedded"])
+def test_ca_output_is_byte_identical_to_rendering_a_plain_tuple_copy(tmp_path, capsys, embedded):
+    # 1001 cells: each P4 row ends in a partial byte
+    rng = random.Random(1001)
+    init = "".join(rng.choice("01") for _ in range(1001))
+    argv = ["ca", "--rule", "110", "--width", "1001", "--steps", "40", "--init", init,
+            "--pbm", str(tmp_path / "d.pbm")]
+    cells, rule = tuple(map(int, init)), ca.rule_table(110)
+    if embedded:
+        argv += ["--embed", ECA_OBS, "--at", "500"]
+        observer = parse_observer((FIXTURES / "eca_transparent_k1.json").read_bytes())
+        rows, _ = ca.run_embedded(ca.embed(rule, cells, 500, observer), 40)
+    else:
+        rows = ca.ca_evolution(cells, rule, 40)
+    plain = tuple(map(tuple, rows))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == ca.render_text(plain) + "\n"
+    assert (tmp_path / "d.pbm").read_bytes() == ca.pbm_bytes(plain)
 
 
 def test_ca_bad_pattern_is_domain_error(capsys):
