@@ -73,6 +73,12 @@ def _number(rule) -> int:
     return rule.number
 
 
+def _observer(obs) -> Observer:
+    if not isinstance(obs, Observer):
+        raise DefinitionError(f"observer must be an Observer, got {obs!r}")
+    return obs
+
+
 def _integer(value, what: str) -> int:
     try:
         return operator.index(value)
@@ -167,7 +173,7 @@ class EmbeddedSystem:
         k = _integer(self.block_width, "block width")
         lattice = _check_cells(self.lattice)
         width = len(lattice)
-        obs = self.observer
+        obs = _observer(self.observer)
         n_states = len(obs.states)
         if n_states < 2 or n_states & (n_states - 1):
             raise EncodingError(
@@ -201,7 +207,7 @@ def embed(rule: CARule, lattice, block_start: int, observer: Observer) -> Embedd
     The block is as wide as the observer's state count encodes; see
     ``EmbeddedSystem`` for the matching and the checks.
     """
-    block_width = len(observer.states).bit_length() - 1
+    block_width = len(_observer(observer).states).bit_length() - 1
     return EmbeddedSystem(rule, lattice, block_start, block_width, observer)
 
 

@@ -10,10 +10,11 @@ behavioral quotient that drives the redundancy metric.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 from types import MappingProxyType
 
 from .core import Ident, Observer, _Machine, check_total
@@ -123,6 +124,14 @@ def _refine(colors: list[int], keys) -> list[int]:
         count = len(palette)
 
 
+def _positions(keys) -> dict:
+    """Each distinct key, in order of first occurrence, with the positions holding it."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
+
+
 def find_isomorphism(
     a: Observer,
     b: Observer,
@@ -133,26 +142,22 @@ def find_isomorphism(
     Returns the lexicographically least isomorphism under the sets'
     construction order (states first, then inputs, then outputs), or None.
     With ``anchors`` given, the state map is pinned to send the first
-    anchor to the second, which usually collapses the search to a single
-    branch.  Candidates are pre-filtered by the joint signature refinement,
-    so the worst case stays exponential but routine instances resolve
-    without backtracking.
+    anchor to the second.  Each input map the joint color refinement allows
+    is tried, inputs with equal columns mapping as one class.  One state's
+    image forces its successors' images, so the least state map comes from
+    a depth-first search on an explicit stack that propagates each choice
+    and drops it at the first clash.  The worst case stays exponential.
     """
     if anchors is not None:
-        ax, bx = anchors
-        if ax not in a.state_index:
-            raise IdentifierError(f"anchor {ax!r} is not a state of the first observer")
-        if bx not in b.state_index:
-            raise IdentifierError(f"anchor {bx!r} is not a state of the second observer")
+        for obs, x, which in ((a, anchors[0], "first"), (b, anchors[1], "second")):
+            if x not in obs.state_index:
+                raise IdentifierError(f"anchor {x!r} is not a state of the {which} observer")
 
     nx, ny, nz = len(a.states), len(a.inputs), len(a.outputs)
     if (nx, ny, nz) != (len(b.states), len(b.inputs), len(b.outputs)):
         return None
-    if canonical_invariants(a) != canonical_invariants(b):
-        return None
 
-    fa, ga, fb, gb = a.f, a.g, b.f, b.g
-    n = nx + ny + nz
+    fa, ga, fb, gb, n = a.f, a.g, b.f, b.g, nx + ny + nz
 
     def keys(c: list[int]) -> list[tuple]:
         # one key per element of the disjoint union: a's states, inputs and
@@ -172,73 +177,77 @@ def find_isomorphism(
     colors = _refine(([0] * nx + [1] * ny + [2] * nz) * 2, keys)
     if sorted(colors[:n]) != sorted(colors[n:]):
         return None
-    state_cands = [[u for u in range(nx) if colors[n + u] == colors[i]] for i in range(nx)]
-    input_cands = [[v for v in range(ny) if colors[n + nx + v] == colors[nx + j]] for j in range(ny)]
-    if anchors is not None:
-        i0, u0 = a.state_index[ax], b.state_index[bx]
-        if u0 not in state_cands[i0]:
+    # nodes: the states, then the outputs, each state stepping to its output on one extra input
+    ca, cb = colors[:nx] + colors[nx + ny:n], colors[n:n + nx] + colors[n + nx + ny:]
+    sa, sb = ([row + (nx + k,) for row, k in zip(f, g)] + [()] * nz for f, g in ((fa, ga), (fb, gb)))
+    by_color = _positions(cb[:nx])
+    cands = [by_color[c] for c in ca[:nx]]
+
+    def input_classes(f, base: int) -> dict[tuple[int, int], list[list[int]]]:
+        # inputs with equal columns, grouped by (color, class size)
+        classes = list(_positions(zip(*f)).values())
+        keyed = _positions((colors[base + m[0]], len(m)) for m in classes)
+        return {key: [classes[t] for t in where] for key, where in keyed.items()}
+
+    def least_states(route: list[int], bound: list[int]) -> list[int] | None:
+        """The least node map along ``route`` whose states are not above ``bound``."""
+        px, used, trail = [-1] * (nx + nz), [False] * (nx + nz), []  # trail: assigned nodes
+
+        def force(todo: list[tuple[int, int]]) -> bool:  # assign all that follows; False on a clash
+            while todo:
+                i, u = todo.pop()
+                if px[i] != u:
+                    if px[i] >= 0 or used[u] or ca[i] != cb[u]:
+                        return False
+                    px[i], used[u] = u, True
+                    trail.append(i)
+                    todo += zip(sa[i], (sb[u][v] for v in route))
+            return True
+
+        if anchors is not None and not force([(a.state_index[anchors[0]], b.state_index[anchors[1]])]):
             return None
-        state_cands[i0] = [u0]
-
-    px = [-1] * nx
-    x_used = [False] * nx
-
-    def complete_outputs(py: list[int]) -> list[int] | None:
-        forced: dict[int, int] = {}
-        for i in range(nx):
-            want = gb[px[i]]
-            have = forced.setdefault(ga[i], want)
-            if have != want:
+        i, frames = 0, []  # frames: (state, its untried candidates, trail length before it)
+        while True:
+            i = next((s for s in range(i, nx) if px[s] < 0), nx)
+            if px[:i] <= bound[:i]:
+                if i == nx:
+                    return px
+                options = cands[i][:bisect_right(cands[i], bound[i])] if px[:i] == bound[:i] else cands[i]
+                frames.append((i, iter(options), len(trail)))
+            while frames:
+                i, options, mark = frames[-1]
+                while len(trail) > mark:
+                    t = trail.pop()
+                    used[px[t]], px[t] = False, -1
+                u = next(options, -1)
+                if u < 0:
+                    frames.pop()
+                elif not used[u] and force([(i, u)]):
+                    break
+            else:
                 return None
-        if len(set(forced.values())) != len(forced):
-            return None
-        reserved = set(forced.values())
-        pz = [-1] * nz
-        free = iter([w for w in range(nz) if w not in reserved])
-        for k in range(nz):
-            pz[k] = forced[k] if k in forced else next(free)
-        return pz
 
-    def match_inputs(j: int, py: list[int], y_used: list[bool]) -> list[int] | None:
-        if j == ny:
-            return list(py)
-        for v in input_cands[j]:
-            if y_used[v]:
-                continue
-            if all(fb[px[i]][v] == px[fa[i][j]] for i in range(nx)):
-                py[j] = v
-                y_used[v] = True
-                result = match_inputs(j + 1, py, y_used)
-                y_used[v] = False
-                if result is not None:
-                    return result
+    # classes map whole, members in order; too few classes of b's give no permutation
+    a_classes, b_classes = input_classes(fa, nx), input_classes(fb, n + nx)
+    order = [j for c in a_classes for members in a_classes[c] for j in members]
+    best: tuple[list[int], list[int]] | None = None
+    for choice in product(*(permutations(b_classes.get(c, []), len(a_classes[c])) for c in a_classes)):
+        image = [v for targets in choice for members in targets for v in members]
+        py = [v for _, v in sorted(zip(order, image))]
+        found = least_states(py + [ny], best[0] if best else [nx] * nx)
+        if found is not None and (best is None or (found, py) < best):
+            best = found, py
+    if best is None:
         return None
 
-    def extend_states(i: int) -> ObserverMorphism | None:
-        if i == nx:
-            py = match_inputs(0, [-1] * ny, [False] * ny)
-            if py is None:
-                return None
-            pz = complete_outputs(py)
-            if pz is None:
-                return None
-            return ObserverMorphism(
-                state_map={a.states[i]: b.states[px[i]] for i in range(nx)},
-                input_map={a.inputs[j]: b.inputs[py[j]] for j in range(ny)},
-                output_map={a.outputs[k]: b.outputs[pz[k]] for k in range(nz)},
-            )
-        for u in state_cands[i]:
-            if x_used[u]:
-                continue
-            px[i] = u
-            x_used[u] = True
-            found = extend_states(i + 1)
-            x_used[u] = False
-            if found is not None:
-                return found
-        return None
-
-    return extend_states(0)
+    px, py = best
+    free = iter(sorted(set(range(nx, nx + nz)).difference(px)))
+    px = [u if u >= 0 else next(free) for u in px]
+    return ObserverMorphism(
+        state_map={x: b.states[u] for x, u in zip(a.states, px)},
+        input_map={y: b.inputs[v] for y, v in zip(a.inputs, py)},
+        output_map={z: b.outputs[w - nx] for z, w in zip(a.outputs, px[nx:])},
+    )
 
 
 def equivalent(a: Observer, b: Observer) -> bool:
@@ -272,17 +281,14 @@ def canonical_invariants(obs: Observer) -> tuple:
     makes this a sound prefilter: differing vectors prove non-equivalence.
     """
     reduced, _, _ = minimize(obs)
-    indegree = [0] * len(obs.states)
-    for row in obs.f:
-        for target in row:
-            indegree[target] += 1
+    indegree = Counter(t for row in obs.f for t in row)
     return (
         len(obs.states),
         len(obs.inputs),
         len(obs.outputs),
         (len(reduced.states), len(reduced.inputs), len(reduced.outputs)),
         tuple(sorted(Counter(obs.g).values())),
-        tuple(sorted(indegree)),
+        tuple(sorted(indegree[i] for i in range(len(obs.states)))),
     )
 
 
@@ -321,16 +327,11 @@ def minimize(obs: Observer) -> tuple[Observer, BehavioralPartition, ObserverMorp
     states, inputs, outputs = obs.states, obs.inputs, obs.outputs
     block = _refine(list(g), lambda b: [(b[i], tuple(b[t] for t in row)) for i, row in enumerate(f)])
 
-    # members of each block, in order of their first member
-    blocks: dict[int, list[int]] = {}
-    for i, c in enumerate(block):
-        blocks.setdefault(c, []).append(i)
+    blocks = _positions(block)  # in order of their first member
     ordered_blocks = list(blocks.values())
     rep = [blocks[c][0] for c in block]
 
-    input_groups: dict[tuple, list[int]] = {}
-    for j in range(len(inputs)):
-        input_groups.setdefault(tuple(block[row[j]] for row in f), []).append(j)
+    input_groups = _positions(tuple(block[t] for t in column) for column in zip(*f))
 
     kept_states = [members[0] for members in ordered_blocks]
     kept_inputs = [members[0] for members in input_groups.values()]
@@ -347,9 +348,7 @@ def minimize(obs: Observer) -> tuple[Observer, BehavioralPartition, ObserverMorp
         boundary=obs.boundary,
     )
 
-    partition = BehavioralPartition(
-        tuple(tuple(states[i] for i in members) for members in ordered_blocks)
-    )
+    partition = BehavioralPartition(tuple(tuple(states[i] for i in members) for members in ordered_blocks))
     fallback = new_outputs[0]
     quotient_map = ObserverMorphism(
         state_map={states[i]: states[members[0]] for members in ordered_blocks for i in members},

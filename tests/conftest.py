@@ -42,6 +42,22 @@ def random_observer(rng: random.Random, max_size: int = 5, sizes=None) -> Observ
     return Observer(states, inputs, outputs, transition, output_map)
 
 
+def duplicated_inputs_observer(rng: random.Random, nx: int, columns: int, copies: int, nz: int) -> Observer:
+    """A random machine whose inputs repeat ``columns`` random columns ``copies``
+    times each, in shuffled order, and whose outputs split the states as evenly
+    as possible (equally when ``nz`` divides ``nx``)."""
+    table = [[rng.randrange(nx) for _ in range(columns)] for _ in range(nx)]
+    source = [j % columns for j in range(columns * copies)]
+    rng.shuffle(source)
+    emitted = [i % nz for i in range(nx)]
+    rng.shuffle(emitted)
+    states = tuple(f"x{i}" for i in range(nx))
+    inputs = tuple(f"y{j}" for j in range(len(source)))
+    outputs = tuple(f"z{k}" for k in range(nz))
+    transition = {(states[i], y): states[table[i][c]] for i in range(nx) for y, c in zip(inputs, source)}
+    return Observer(states, inputs, outputs, transition, {x: outputs[k] for x, k in zip(states, emitted)})
+
+
 def relabeled(obs: Observer, rng: random.Random, prefix: str = "r") -> Observer:
     """Fresh names and a shuffled construction order; isomorphic by design."""
     def fresh(items, tag):
@@ -105,11 +121,12 @@ def _tables(obs: Observer):
     return f, g
 
 
-def brute_force_isomorphism(a: Observer, b: Observer):
+def brute_force_isomorphism(a: Observer, b: Observer, anchor: tuple[int, int] | None = None):
     """Exhaustive search over every bijection triple, in lexicographic order.
 
     Returns the first valid (state, input, output) index-permutation triple
-    or None.  The transition check does not involve the output permutation,
+    or None; with ``anchor`` = (i, u), only triples sending state index i to
+    u count.  The transition check does not involve the output permutation,
     so it is hoisted out of the innermost loop.
     """
     shape = (len(a.states), len(a.inputs), len(a.outputs))
@@ -119,6 +136,8 @@ def brute_force_isomorphism(a: Observer, b: Observer):
     fa, ga = _tables(a)
     fb, gb = _tables(b)
     for px in permutations(range(nx)):
+        if anchor is not None and px[anchor[0]] != anchor[1]:
+            continue
         for py in permutations(range(ny)):
             if all(px[fa[i][j]] == fb[px[i]][py[j]] for i in range(nx) for j in range(ny)):
                 for pz in permutations(range(nz)):

@@ -209,6 +209,14 @@ def test_a_directly_built_embedded_system_is_checked(args, error):
         EmbeddedSystem(*args)
 
 
+@pytest.mark.parametrize("observer", [None, "obs", 4], ids=["none", "str", "int"])
+def test_an_observer_that_is_not_an_observer_is_a_definition_error(observer):
+    with pytest.raises(DefinitionError, match="Observer"):
+        embed(_RULE, (0,) * 8, 1, observer)
+    with pytest.raises(DefinitionError, match="Observer"):
+        EmbeddedSystem(_RULE, (0,) * 8, 1, 2, observer)
+
+
 def test_a_directly_built_embedded_system_equals_the_embedded_one():
     system = EmbeddedSystem(_RULE, [0, 1] * 4, 3, 2, _OBS)
     assert system == embed(_RULE, (0, 1) * 4, 3, _OBS)

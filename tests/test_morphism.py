@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from obskit.morphism import (
 
 from conftest import (
     brute_force_isomorphism,
+    duplicated_inputs_observer,
     morphism_vectors,
     random_observer,
     relabeled,
@@ -140,6 +142,7 @@ def test_anchor_can_rule_out_all_isomorphisms():
 
 def test_search_matches_brute_force_on_random_pairs():
     rng = random.Random(404)
+    pairs = []
     for trial in range(120):
         a = random_observer(rng, max_size=3)
         if trial % 3 == 0:
@@ -148,6 +151,20 @@ def test_search_matches_brute_force_on_random_pairs():
             b = random_observer(rng, sizes=(len(a.states), len(a.inputs), len(a.outputs)))
         else:
             b = random_observer(rng, max_size=3)
+        pairs.append((a, b))
+    # equal-size output classes and repeated input columns, which map as classes
+    folded = random.Random(405)
+    for trial in range(90):
+        shape = (folded.choice((2, 4)), folded.randint(1, 2), 2, folded.choice((1, 2)))
+        a = duplicated_inputs_observer(folded, *shape)
+        if trial % 3 == 0:
+            b = relabeled(a, folded, prefix=f"d{trial}")
+        elif trial % 3 == 1:
+            b = duplicated_inputs_observer(folded, *shape)
+        else:
+            b = duplicated_inputs_observer(folded, shape[0], 2 // shape[1], shape[1] ** 2, shape[3])
+        pairs.append((a, b))
+    for a, b in pairs:
         expected = brute_force_isomorphism(a, b)
         got = find_isomorphism(a, b)
         if expected is None:
@@ -166,6 +183,65 @@ def test_search_matches_brute_force_on_five_element_sets():
         got = find_isomorphism(a, b)
         assert expected is not None and got is not None
         assert morphism_vectors(a, b, got) == expected
+
+
+def test_anchored_search_matches_brute_force_restricted_to_the_anchor():
+    rng = random.Random(406)
+    for trial in range(150):
+        if trial % 2:
+            a = random_observer(rng, max_size=4)
+        else:
+            a = duplicated_inputs_observer(rng, rng.choice((2, 4)), rng.randint(1, 2), 2, 2)
+        b = a if trial % 3 == 0 else relabeled(a, rng, prefix=f"n{trial}")
+        i, u = rng.randrange(len(a.states)), rng.randrange(len(b.states))
+        expected = brute_force_isomorphism(a, b, anchor=(i, u))
+        got = find_isomorphism(a, b, anchors=(a.states[i], b.states[u]))
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert morphism_vectors(a, b, got) == expected
+
+
+def cycles(sizes: list[int], inputs: int = 1, prefix: str = "c") -> Observer:
+    """Disjoint cycles of the given lengths, every input stepping forward."""
+    states = [f"{prefix}{k}_{i}" for k, m in enumerate(sizes) for i in range(m)]
+    succ, start = {}, 0
+    for m in sizes:
+        for i in range(m):
+            succ[states[start + i]] = states[start + (i + 1) % m]
+        start += m
+    ys = tuple(f"y{j}" for j in range(inputs))
+    return Observer(tuple(states), ys, ("z",), {(x, y): succ[x] for x in states for y in ys},
+                    {x: "z" for x in states})
+
+
+@pytest.mark.parametrize("inputs", [1, 8])
+def test_a_ten_cycle_is_told_from_two_five_cycles_at_once(inputs):
+    started = perf_counter()
+    assert find_isomorphism(cycles([10], inputs), cycles([5, 5], inputs, "d")) is None
+    assert perf_counter() - started < 1.0
+
+
+def test_a_5000_state_cycle_matches_a_relabeled_copy():
+    a = cycles([5000])
+    b = relabeled(a, random.Random(5), prefix="e")
+    started = perf_counter()
+    morphism = find_isomorphism(a, b)
+    elapsed = perf_counter() - started
+    assert morphism is not None and check_homomorphism(a, b, morphism).holds
+    assert elapsed < 10.0
+
+
+def test_a_random_1000_state_machine_matches_a_relabeled_copy():
+    rng = random.Random(1000)
+    a = random_observer(rng, sizes=(1000, 3, 3))
+    b = relabeled(a, rng, prefix="m")
+    started = perf_counter()
+    morphism = find_isomorphism(a, b)
+    elapsed = perf_counter() - started
+    assert morphism is not None and check_homomorphism(a, b, morphism).holds
+    assert elapsed < 10.0
 
 
 # -- equivalence laws ----------------------------------------------------------------
