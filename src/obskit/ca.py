@@ -27,11 +27,10 @@ environment through the standard coupling.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
 from itertools import product
 from types import MappingProxyType
 
-from .core import Observer, Trace, TraceRecord
+from .core import Observer, Trace, TraceRecord, _Record
 from .errors import DefinitionError, EncodingError
 
 Bits = tuple[int, ...]
@@ -42,8 +41,7 @@ _TEXT = bytes.maketrans(b"\0\1", b".#")
 _GLYPHS = bytes.maketrans(b"01", b".#")
 
 
-@dataclass(frozen=True)
-class CARule:
+class CARule(_Record):
     """An elementary rule, identified by its number in 0..255."""
 
     number: int
@@ -150,8 +148,7 @@ def ca_evolution(cells, rule: CARule, steps: int) -> tuple[Bits, ...]:
     return _diagram(rows, packed)
 
 
-@dataclass(frozen=True)
-class EmbeddedSystem:
+class EmbeddedSystem(_Record):
     """A rule, a lattice, and the observer owning a block of its cells.
 
     The observer's sets are matched to the block positionally: state number
@@ -196,9 +193,7 @@ class EmbeddedSystem:
             raise DefinitionError(f"block of width {k} does not fit a lattice of width {width}")
         if not 0 <= start or start + k > width:
             raise DefinitionError("block must lie inside the lattice without wrapping")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "block_start", start)
-        object.__setattr__(self, "block_width", k)
+        self._assign(lattice=lattice, block_start=start, block_width=k)
 
 
 def embed(rule: CARule, lattice, block_start: int, observer: Observer) -> EmbeddedSystem:
@@ -282,8 +277,8 @@ def transparent_observer(rule: CARule, block_width: int) -> Observer:
 def damping_observer(rule: CARule, block_width: int) -> Observer:
     """A transparent block whose actions pin its boundary cells to zero."""
     base = transparent_observer(rule, block_width)
-    return replace(base, output_map=dict.fromkeys(base.states, (0, 0)),
-                   boundary=f"damping block of {block_width} cells")
+    return Observer(base.states, base.inputs, base.outputs, base.transition,
+                    dict.fromkeys(base.states, (0, 0)), f"damping block of {block_width} cells")
 
 
 def render_text(rows) -> str:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Hashable, Iterable, Mapping
-from dataclasses import dataclass
 from itertools import chain
 
-from .core import Ident, Observer, _ordered_unique, check_total
+from .core import Ident, Observer, _ordered_unique, _Record, check_total
 from .errors import (
     DefinitionError,
     LedgerOrderError,
@@ -28,8 +27,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Wiring:
+class Wiring(_Record):
     """How a lower observer feeds an upper one.
 
     ``lift`` translates every lower action into an upper input.  ``drop``,
@@ -41,8 +39,7 @@ class Wiring:
     drop: dict | None = None
 
 
-@dataclass(frozen=True)
-class WellFoundedReport:
+class WellFoundedReport(_Record):
     well_founded: bool
     cycle: tuple | None = None
 
@@ -213,16 +210,14 @@ def stack(lower: Observer, upper: Observer, wiring: Wiring,
     return composite
 
 
-@dataclass(frozen=True)
-class RuleTable:
+class RuleTable(_Record):
     """One (transition, output) table over a fixed state/input/output frame."""
 
     transition: dict
     output_map: dict
 
 
-@dataclass(frozen=True)
-class RuleFamily:
+class RuleFamily(_Record):
     """An indexed family of rule tables plus the table-selection rule.
 
     ``meta_update`` maps (table index, state, input) to the index of the
@@ -233,8 +228,7 @@ class RuleFamily:
     meta_update: dict
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", tuple(self.tables))
-        object.__setattr__(self, "meta_update", dict(self.meta_update))
+        self._assign(tables=tuple(self.tables), meta_update=dict(self.meta_update))
         if not self.tables:
             raise DefinitionError("rule family must contain at least one table")
 
@@ -278,8 +272,7 @@ def second_order_wrap(
 
 # -- observer-relative facts -------------------------------------------------
 
-@dataclass(frozen=True)
-class FactEntry:
+class FactEntry(_Record):
     """One boundary crossing: who recorded what, and when."""
 
     observer_id: Hashable
@@ -288,11 +281,13 @@ class FactEntry:
     state: Ident
 
 
-@dataclass(frozen=True)
-class FactLedger:
+class FactLedger(_Record):
     """Append-only record of boundary crossings, per observer."""
 
     entries: tuple[FactEntry, ...] = ()
+
+    def __post_init__(self) -> None:
+        self._assign(entries=tuple(self.entries))
 
     def last_step(self, observer_id: Hashable) -> int | None:
         return next((e.step for e in reversed(self.entries) if e.observer_id == observer_id), None)
@@ -333,8 +328,7 @@ _SPIN_MEANING = {
 }
 
 
-@dataclass(frozen=True)
-class LabScriptRun:
+class LabScriptRun(_Record):
     """Result of the sealed-lab script: a ledger plus the key step indices."""
 
     ledger: FactLedger

@@ -10,16 +10,17 @@ sensor reading.  ``CoupledSystem`` wires the two into the closed loop
 and ``CoupledSystem.run`` records that loop as a ``Trace``.
 
 All values are immutable after construction, so shared instances may be
-used freely from multiple threads, hashed, and pickled.  Each machine
-checks its dict tables once (``check_total``) and keeps them as integer
-tables over construction-order indices (``f``, ``g``); the label tables
-stay readable as read-only ``types.MappingProxyType`` views.
+used freely from multiple threads, hashed, and pickled; every value type
+in the package is a ``_Record``.  Each machine checks its dict tables once
+(``check_total``) and keeps them as integer tables over construction-order
+indices (``f``, ``g``); the label tables stay readable as read-only
+``types.MappingProxyType`` views.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
 from .errors import DefinitionError, IdentifierError, IncompatibleAlphabetsError
@@ -70,26 +71,79 @@ def _rows(codes: list[int], width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*[iter(codes)] * width))
 
 
-class _Machine:
-    """Equality and hashing over the compared fields; pickling through the constructor."""
+_set = object.__setattr__
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+class _Record:
+    """An immutable value whose fields are its class's annotated attributes, in order.
+
+    A field's default is its class attribute.  The constructor binds fields
+    by position or keyword, then runs ``__post_init__``, if any, which may
+    set derived attributes.  ``==`` and ``hash`` compare ``_compare`` (the
+    fields by default); ``repr`` shows the fields.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __post_init__ = None
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        names = getattr(cls, "_compare", cls._fields)
+        key = operator.attrgetter(*names) if len(names) > 1 else lambda r: tuple(getattr(r, n) for n in names)
+        cls._key = staticmethod(key)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # one at a time: filling __dict__ makes CPython 3.11 read every attribute slowly
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        if self.__post_init__:
+            self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        name, fields = cls.__qualname__, cls._fields
+        values = list(args)
+        for field in fields[len(args):]:
+            if field not in kwargs and not hasattr(cls, field):
+                raise TypeError(f"{name}() missing argument {field!r}")
+            values.append(kwargs.pop(field) if field in kwargs else getattr(cls, field))
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{name}() takes {', '.join(fields)}; got surplus, repeated or unknown arguments")
+        return values
+
+    def _assign(self, **values) -> None:  # for __post_init__ only
+        for name, value in values.items():
+            _set(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._key(self) == other._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
+
+
+class _Machine(_Record):
+    """A record that pickles through its constructor, mapping views as dicts."""
 
     def __reduce__(self):
-        args = (getattr(self, f.name) for f in fields(self) if f.init)
+        args = (getattr(self, name) for name in self._fields)
         return (type(self), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args))
 
 
-@dataclass(frozen=True, eq=False)
 class Observer(_Machine):
     """A finite sensing/acting machine.
 
@@ -99,19 +153,17 @@ class Observer(_Machine):
     dynamics.  Identifier sets keep their construction order, and every
     algorithm in the package iterates in that order, so results are
     reproducible.  ``f``, ``g``, ``state_index`` and ``input_index`` are the
-    same tables over indices in that order.
+    same tables over indices in that order; they are derived, not fields,
+    and equality compares ``f`` and ``g`` in place of the label tables.
     """
 
     states: tuple[Ident, ...]
     inputs: tuple[Ident, ...]
     outputs: tuple[Ident, ...]
-    transition: Mapping = field(compare=False)
-    output_map: Mapping = field(compare=False)
+    transition: Mapping
+    output_map: Mapping
     boundary: str = ""
-    f: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    g: tuple[int, ...] = field(init=False, repr=False)
-    state_index: Mapping = field(init=False, repr=False, compare=False)
-    input_index: Mapping = field(init=False, repr=False, compare=False)
+    _compare = ("states", "inputs", "outputs", "boundary", "f", "g")
 
     def __post_init__(self) -> None:
         states = _ordered_unique("states", self.states)
@@ -121,16 +173,11 @@ class Observer(_Machine):
         transition = check_total("transition", self.transition, keys, states)
         output_map = check_total("output_map", self.output_map, states, outputs)
         si, zi = _index(states), _index(outputs)
-        for name, value in (
-            ("states", states), ("inputs", inputs), ("outputs", outputs),
-            ("transition", MappingProxyType(transition)),
-            ("output_map", MappingProxyType(output_map)),
-            ("f", _rows([si[transition[k]] for k in keys], len(inputs))),
-            ("g", tuple([zi[output_map[x]] for x in states])),
-            ("state_index", MappingProxyType(si)),
-            ("input_index", MappingProxyType(_index(inputs))),
-        ):
-            object.__setattr__(self, name, value)
+        self._assign(states=states, inputs=inputs, outputs=outputs,
+                     transition=MappingProxyType(transition), output_map=MappingProxyType(output_map),
+                     f=_rows([si[transition[k]] for k in keys], len(inputs)),
+                     g=tuple([zi[output_map[x]] for x in states]),
+                     state_index=MappingProxyType(si), input_index=MappingProxyType(_index(inputs)))
 
     def step(self, state: Ident, received: Ident) -> Ident:
         """Next internal state after sensing ``received`` in ``state``."""
@@ -157,7 +204,6 @@ class Observer(_Machine):
         return tuple(emitted)
 
 
-@dataclass(frozen=True, eq=False)
 class Environment(_Machine):
     """The machine on the far side of an observer's boundary.
 
@@ -170,10 +216,9 @@ class Environment(_Machine):
 
     states: tuple[Ident, ...]
     actions: tuple[Ident, ...]
-    transition: Mapping = field(compare=False)
-    observation: Mapping = field(compare=False)
-    f: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    readings: tuple[Ident, ...] = field(init=False, repr=False)
+    transition: Mapping
+    observation: Mapping
+    _compare = ("states", "actions", "f", "readings")
 
     def __post_init__(self) -> None:
         states = _ordered_unique("environment states", self.states)
@@ -182,14 +227,10 @@ class Environment(_Machine):
         transition = check_total("environment transition", self.transition, keys, states)
         observation = check_total("observation map", self.observation, states)
         si = _index(states)
-        for name, value in (
-            ("states", states), ("actions", actions),
-            ("transition", MappingProxyType(transition)),
-            ("observation", MappingProxyType(observation)),
-            ("f", _rows([si[transition[k]] for k in keys], len(actions))),
-            ("readings", tuple([observation[s] for s in states])),
-        ):
-            object.__setattr__(self, name, value)
+        self._assign(states=states, actions=actions, transition=MappingProxyType(transition),
+                     observation=MappingProxyType(observation),
+                     f=_rows([si[transition[k]] for k in keys], len(actions)),
+                     readings=tuple([observation[s] for s in states]))
 
     def observe(self, state: Ident) -> Ident:
         try:
@@ -204,8 +245,7 @@ class Environment(_Machine):
             raise IdentifierError(f"unknown environment state or action ({state!r}, {action!r})") from None
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(_Record):
     """One loop iteration: reading y, new state x, action z, new env state s."""
 
     t: int
@@ -215,11 +255,13 @@ class TraceRecord:
     s: Ident
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Record):
     """Time-indexed record of a closed-loop run."""
 
     steps: tuple[TraceRecord, ...] = ()
+
+    def __post_init__(self) -> None:
+        self._assign(steps=tuple(self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -235,8 +277,7 @@ class Trace:
 JointState = tuple[Ident, Ident]
 
 
-@dataclass(frozen=True)
-class CoupledSystem:
+class CoupledSystem(_Record):
     """An observer wired to an environment in a closed loop.
 
     Construction rejects incompatible alphabets: every reading the
@@ -250,14 +291,12 @@ class CoupledSystem:
     def __post_init__(self) -> None:
         unknown = set(self.environment.readings) - set(self.observer.inputs)
         if unknown:
-            raise IncompatibleAlphabetsError(
-                f"environment offers readings the observer cannot sense: {sorted(map(repr, unknown))}"
-            )
+            raise IncompatibleAlphabetsError("environment offers readings the observer cannot sense: "
+                                             f"{sorted(map(repr, unknown))}")
         stray = set(self.observer.outputs) - set(self.environment.actions)
         if stray:
-            raise IncompatibleAlphabetsError(
-                f"observer actions the environment does not accept: {sorted(map(repr, stray))}"
-            )
+            raise IncompatibleAlphabetsError("observer actions the environment does not accept: "
+                                             f"{sorted(map(repr, stray))}")
 
     def _check_joint(self, joint: JointState) -> None:
         x, s = joint
@@ -273,11 +312,15 @@ class CoupledSystem:
         new state emits z, and the environment reacts to z.
         """
         self._check_joint(joint)
-        x, s = joint
-        y = self.environment.observe(s)
-        x2 = self.observer.step(x, y)
-        z = self.observer.output(x2)
-        s2 = self.environment.react(s, z)
+        return self._advance(joint, when)
+
+    def _advance(self, joint: JointState, when: int) -> tuple[JointState, TraceRecord]:
+        # from a checked joint, the matched alphabets make every lookup succeed
+        (x, s), obs, env = joint, self.observer, self.environment
+        y = env.observation[s]
+        x2 = obs.states[obs.f[obs.state_index[x]][obs.input_index[y]]]
+        z = obs.output_map[x2]
+        s2 = env.transition[(s, z)]
         return (x2, s2), TraceRecord(when, y, x2, z, s2)
 
     def run(self, joint: JointState, horizon: int) -> Trace:
@@ -285,10 +328,9 @@ class CoupledSystem:
         if horizon < 0:
             raise DefinitionError("horizon must be non-negative")
         self._check_joint(joint)
-        records = []
-        current = joint
+        records, current = [], joint
         for t in range(horizon):
-            current, record = self.step(current, t)
+            current, record = self._advance(current, t)
             records.append(record)
         return Trace(tuple(records))
 
@@ -302,12 +344,11 @@ class CoupledSystem:
             while current not in local:
                 local.add(current)
                 seen.setdefault(current, None)
-                current, _ = self.step(current)
+                current, _ = self._advance(current, 0)
         return tuple(seen)
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(_Record):
     """Per-condition verdicts for the minimal-observer test."""
 
     has_inputs: bool
@@ -322,15 +363,10 @@ class MinimalityReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.has_inputs
-            and self.has_outputs
-            and self.nontrivial_dynamics
-            and self.feedback_closure
-        )
+        return all(self.conditions().values())
 
     def conditions(self) -> dict[str, bool]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def validate_minimal(system: CoupledSystem, starts: Iterable[JointState]) -> MinimalityReport:
@@ -344,8 +380,7 @@ def validate_minimal(system: CoupledSystem, starts: Iterable[JointState]) -> Min
     states.  The check is sound but not complete; a pass can still hide a
     loop whose actions never matter further downstream.
     """
-    obs = system.observer
-    env = system.environment
+    obs, env = system.observer, system.environment
     env_reachable = {s for _, s in system.reachable_joints(starts)}
 
     actions_matter = any(

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
-from .core import CoupledSystem, JointState, Observer
+from .core import CoupledSystem, JointState, Observer, _Record
 from .errors import CapExceededError, DefinitionError, IdentifierError, NumericalError
 from .morphism import minimize
 
@@ -24,8 +23,7 @@ GOAL_REACHED = "goal-reached"
 GOAL_UNREACHABLE = "goal-unreachable"
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(_Record):
     """Log-capacity split into genuine complexity and redundancy (nats)."""
 
     raw_log: float
@@ -52,8 +50,7 @@ def complexity(obs: Observer) -> ComplexityReport:
     )
 
 
-@dataclass(frozen=True)
-class AdaptationResult:
+class AdaptationResult(_Record):
     """How a deterministic coupled run settled.
 
     ``steps`` is the adaptation count: for a goal run, the first step index
@@ -93,7 +90,7 @@ def adaptation_time(
     seen: dict[JointState, int] = {joint: 0}
     current = joint
     for t in range(1, cap + 1):
-        current, _ = system.step(current)
+        current, _ = system._advance(current, 0)
         if goal is not None and goal(current):
             return AdaptationResult(kind=GOAL_REACHED, steps=t)
         if current in seen:

@@ -13,15 +13,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import permutations, product
 from types import MappingProxyType
 
-from .core import Ident, Observer, _Machine, check_total
+from .core import Ident, Observer, _Machine, _Record, check_total
 from .errors import IdentifierError, MorphismShapeError
 
 
-@dataclass(frozen=True, eq=False)
 class ObserverMorphism(_Machine):
     """A triple of maps from one observer's sets into another's.
 
@@ -35,16 +33,14 @@ class ObserverMorphism(_Machine):
     state_map: Mapping
     input_map: Mapping
     output_map: Mapping
-    bijective: bool = field(init=False)
+    _compare = ("state_map", "input_map", "output_map", "bijective")
 
     def __post_init__(self) -> None:
-        for name in ("state_map", "input_map", "output_map"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-        injective = all(
-            len(set(m.values())) == len(m)
-            for m in (self.state_map, self.input_map, self.output_map)
-        )
-        object.__setattr__(self, "bijective", injective)
+        maps = {name: MappingProxyType(dict(getattr(self, name))) for name in self._fields}
+        self._assign(**maps, bijective=all(len(set(m.values())) == len(m) for m in maps.values()))
+
+    def __repr__(self) -> str:
+        return f"{super().__repr__()[:-1]}, bijective={self.bijective!r})"
 
     def __hash__(self) -> int:
         return hash(tuple(frozenset(m.items()) for m in (self.state_map, self.input_map, self.output_map)))
@@ -68,13 +64,16 @@ def identity_morphism(obs: Observer) -> ObserverMorphism:
     )
 
 
-@dataclass(frozen=True)
-class MorphismCheck:
+class MorphismCheck(_Record):
     """Outcome of a commutation check, with every violating witness."""
 
     holds: bool
     transition_failures: tuple[tuple[Ident, Ident], ...]
     output_failures: tuple[Ident, ...]
+
+    def __post_init__(self) -> None:
+        self._assign(transition_failures=tuple(self.transition_failures),
+                     output_failures=tuple(self.output_failures))
 
     def __bool__(self) -> bool:
         return self.holds
@@ -92,17 +91,10 @@ def check_homomorphism(src: Observer, dst: Observer, morphism: ObserverMorphism)
     check_total("output map", morphism.output_map, src.outputs, dst.outputs, MorphismShapeError)
 
     mx, my, mz = morphism.state_map, morphism.input_map, morphism.output_map
-    bad_transitions = tuple(
-        (x, y)
-        for x, y in product(src.states, src.inputs)
-        if mx[src.transition[(x, y)]] != dst.transition[(mx[x], my[y])]
-    )
-    bad_outputs = tuple(x for x in src.states if mz[src.output_map[x]] != dst.output_map[mx[x]])
-    return MorphismCheck(
-        holds=not bad_transitions and not bad_outputs,
-        transition_failures=bad_transitions,
-        output_failures=bad_outputs,
-    )
+    bad_transitions = [(x, y) for x, y in product(src.states, src.inputs)
+                       if mx[src.transition[(x, y)]] != dst.transition[(mx[x], my[y])]]
+    bad_outputs = [x for x in src.states if mz[src.output_map[x]] != dst.output_map[mx[x]]]
+    return MorphismCheck(not bad_transitions and not bad_outputs, bad_transitions, bad_outputs)
 
 
 # -- partition refinement ----------------------------------------------------
@@ -292,8 +284,7 @@ def canonical_invariants(obs: Observer) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class BehavioralPartition:
+class BehavioralPartition(_Record):
     """Greatest partition of states into behaviorally equivalent blocks.
 
     Two states share a block exactly when they emit the same action and,
@@ -301,6 +292,9 @@ class BehavioralPartition:
     """
 
     classes: tuple[tuple[Ident, ...], ...]
+
+    def __post_init__(self) -> None:
+        self._assign(classes=tuple(map(tuple, self.classes)))
 
     def block_of(self, state: Ident) -> tuple[Ident, ...]:
         for block in self.classes:

@@ -340,6 +340,17 @@ def test_numpy_free_paths_do_not_load_numpy(code):
     assert fresh_interpreter(code)[-1] == "False"
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # one interpreter runs every path in turn: none of them may load the two
+    code = "\n".join([
+        "import obskit", "import obskit.cli", dispatching("complexity", THERMO),
+        dispatching("ca", "--rule", "110", "--width", "15", "--steps", "10",
+                    "--init", "single", "--embed", ECA_OBS, "--at", "2"),
+        "print(sorted({'dataclasses', 'inspect'}.intersection(sys.modules)))",
+    ])
+    assert fresh_interpreter(code)[-2] == "[]"
+
+
 def test_hit_loads_numpy_and_prints_the_in_process_value(capsys):
     argv = ("hit", "--chain", CHAIN2, "--start", "0", "--goal", "1")
     *printed, loaded = fresh_interpreter(dispatching(*argv))

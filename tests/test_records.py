@@ -1,0 +1,177 @@
+"""The value contract every public record type keeps.
+
+One instance of each of the 20 record types is checked for equality and
+hashing, pickling, immutability, argument binding and ``repr``; then the
+sequence fields are checked to be stored as tuples, so the values stay
+hashable whatever sequence they were built from.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from obskit.ca import CARule, EmbeddedSystem, transparent_observer
+from obskit.composition import (
+    FactEntry,
+    FactLedger,
+    LabScriptRun,
+    RuleFamily,
+    RuleTable,
+    WellFoundedReport,
+    Wiring,
+    record_fact,
+)
+from obskit.core import (
+    CoupledSystem,
+    Environment,
+    MinimalityReport,
+    Observer,
+    Trace,
+    TraceRecord,
+)
+from obskit.metrics import AdaptationResult, ComplexityReport
+from obskit.morphism import BehavioralPartition, MorphismCheck, ObserverMorphism
+
+OBSERVER = dict(states=("a", "b"), inputs=("y",), outputs=("z",),
+                transition={("a", "y"): "b", ("b", "y"): "a"}, output_map={"a": "z", "b": "z"},
+                boundary="")
+ENVIRONMENT = dict(states=("s",), actions=("z",), transition={("s", "z"): "s"}, observation={"s": "y"})
+ENTRY = dict(observer_id="obs", step=1, received="y", state="a")
+
+# (type, keyword arguments in field order, number of fields without a default);
+# every field after those holds its default
+SAMPLES = [
+    (Observer, OBSERVER, 5),
+    (Environment, ENVIRONMENT, 4),
+    (TraceRecord, dict(t=0, y="y", x="b", z="z", s="s"), 5),
+    (Trace, dict(steps=()), 0),
+    (CoupledSystem, dict(observer=Observer(**OBSERVER), environment=Environment(**ENVIRONMENT)), 2),
+    (MinimalityReport, dict(has_inputs=True, has_outputs=True, nontrivial_dynamics=False,
+                            actions_can_change_environment=True, readings_track_environment=False), 5),
+    (CARule, dict(number=110), 1),
+    (EmbeddedSystem, dict(rule=CARule(110), lattice=(0, 1) * 4, block_start=2, block_width=2,
+                          observer=transparent_observer(CARule(110), 2)), 5),
+    (Wiring, dict(lift={"z": "y"}, drop=None), 1),
+    (WellFoundedReport, dict(well_founded=True, cycle=None), 1),
+    (RuleTable, dict(transition={("a", "y"): "a"}, output_map={"a": "z"}), 2),
+    (RuleFamily, dict(tables=(RuleTable({("a", "y"): "a"}, {"a": "z"}),),
+                      meta_update={(0, "a", "y"): 0}), 2),
+    (FactEntry, ENTRY, 4),
+    (FactLedger, dict(entries=()), 0),
+    (LabScriptRun, dict(ledger=FactLedger((FactEntry(**ENTRY),)), insider_id="in",
+                        outsider_id="out", measurement_step=1, read_step=5), 5),
+    (ComplexityReport, dict(raw_log=1.0, redundancy=0.5, complexity=0.5, reduced_sizes=(2, 1, 1)), 4),
+    (AdaptationResult, dict(kind="goal-reached", steps=None, cycle_period=None), 1),
+    (ObserverMorphism, dict(state_map={"a": "b", "b": "a"}, input_map={"y": "y"},
+                            output_map={"z": "z"}), 3),
+    (MorphismCheck, dict(holds=True, transition_failures=(), output_failures=()), 3),
+    (BehavioralPartition, dict(classes=(("a",), ("b",))), 1),
+]
+IDS = [cls.__name__ for cls, _, _ in SAMPLES]
+
+# these hold plain dicts, as they always have, so they are not hashable
+UNHASHABLE = {Wiring, RuleTable, RuleFamily}
+
+
+def build(cls, kwargs):
+    return cls(*copy.deepcopy(tuple(kwargs.values())))
+
+
+def test_there_is_one_sample_per_record_type():
+    assert len({cls for cls, _, _ in SAMPLES}) == 20
+
+
+@pytest.mark.parametrize("cls, kwargs, required", SAMPLES, ids=IDS)
+def test_equal_values_compare_and_hash_equal(cls, kwargs, required):
+    a, b = build(cls, kwargs), build(cls, kwargs)
+    assert a == b and not a != b
+    if cls not in UNHASHABLE:
+        assert hash(a) == hash(b)
+    for other_cls, other_kwargs, _ in SAMPLES:
+        if other_cls is not cls:
+            assert a != build(other_cls, other_kwargs)
+
+
+@pytest.mark.parametrize("cls, kwargs, required", SAMPLES, ids=IDS)
+def test_values_survive_pickle_and_deepcopy(cls, kwargs, required):
+    value = build(cls, kwargs)
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+
+
+@pytest.mark.parametrize("cls, kwargs, required", SAMPLES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, kwargs, required):
+    value = build(cls, kwargs)
+    name = next(iter(kwargs))
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.not_a_field = None
+    assert value == build(cls, kwargs)
+
+
+@pytest.mark.parametrize("cls, kwargs, required", SAMPLES, ids=IDS)
+def test_positional_keyword_and_default_construction_agree(cls, kwargs, required):
+    args = tuple(kwargs.values())
+    value = cls(*args)
+    assert cls(**kwargs) == value
+    assert cls(*args[:1], **dict(list(kwargs.items())[1:])) == value
+    assert cls(*args[:required]) == value
+
+
+@pytest.mark.parametrize("cls, kwargs, required", SAMPLES, ids=IDS)
+def test_missing_unknown_and_repeated_arguments_are_type_errors(cls, kwargs, required):
+    args = tuple(kwargs.values())
+    if required:
+        with pytest.raises(TypeError):
+            cls(*args[:required - 1])
+    with pytest.raises(TypeError):
+        cls(*args, not_a_field=1)
+    with pytest.raises(TypeError):
+        cls(*args, **{next(iter(kwargs)): args[0]})
+    with pytest.raises(TypeError):
+        cls(*args, args[0])
+
+
+@pytest.mark.parametrize("value, text", [
+    (Observer(**OBSERVER),
+     "Observer(states=('a', 'b'), inputs=('y',), outputs=('z',), "
+     "transition=mappingproxy({('a', 'y'): 'b', ('b', 'y'): 'a'}), "
+     "output_map=mappingproxy({'a': 'z', 'b': 'z'}), boundary='')"),
+    (ObserverMorphism({"a": "b", "b": "a"}, {"y": "y"}, {"z": "z"}),
+     "ObserverMorphism(state_map=mappingproxy({'a': 'b', 'b': 'a'}), "
+     "input_map=mappingproxy({'y': 'y'}), output_map=mappingproxy({'z': 'z'}), bijective=True)"),
+    (TraceRecord(0, "y", "b", "z", "s"), "TraceRecord(t=0, y='y', x='b', z='z', s='s')"),
+    (CARule(110), "CARule(number=110)"),
+    (ComplexityReport(1.0, 0.5, 0.5, (2, 1, 1)),
+     "ComplexityReport(raw_log=1.0, redundancy=0.5, complexity=0.5, reduced_sizes=(2, 1, 1))"),
+], ids=["Observer", "ObserverMorphism", "TraceRecord", "CARule", "ComplexityReport"])
+def test_repr_is_pinned(value, text):
+    assert repr(value) == text
+
+
+# -- sequence fields are stored as tuples --------------------------------------
+
+def test_a_ledger_built_from_a_list_takes_new_facts():
+    ledger = record_fact(FactLedger([]), "a", 0, "x", "y")
+    assert ledger.entries == (FactEntry("a", 0, "x", "y"),)
+    assert hash(FactLedger([])) == hash(FactLedger())
+
+
+@pytest.mark.parametrize("from_list, from_tuple", [
+    (Trace([TraceRecord(0, 1, 2, 3, 4)]), Trace((TraceRecord(0, 1, 2, 3, 4),))),
+    (FactLedger([FactEntry("a", 0, "x", "y")]), FactLedger((FactEntry("a", 0, "x", "y"),))),
+    (BehavioralPartition([("a",)]), BehavioralPartition((("a",),))),
+    (BehavioralPartition([["a", "b"]]), BehavioralPartition((("a", "b"),))),
+    (MorphismCheck(False, [("a", "y")], ["a"]), MorphismCheck(False, (("a", "y"),), ("a",))),
+], ids=["Trace", "FactLedger", "BehavioralPartition", "BehavioralPartition-list-blocks",
+        "MorphismCheck"])
+def test_values_built_from_lists_equal_and_hash_as_tuples(from_list, from_tuple):
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert repr(from_list) == repr(from_tuple)
