@@ -6,10 +6,13 @@ selects bit 4a + 2b + c.  Lattices are cyclic.
 
 Inside, a row of w cells is packed into one int with cell i in bit
 w - 1 - i (cell 0 most significant, so the binary digits read like the
-cells), and one kernel, ``_step``, updates every row, bare or embedded.
-The diagrams ``ca_evolution`` and ``run_embedded`` return are tuples of
-bit tuples that also keep those packed rows, and ``render_text`` and
-``pbm_bytes`` read them instead of packing each row again.
+cells), and one kernel, ``_step``, updates every row, bare or embedded:
+a cell becomes 1 where its neighborhood is one of the rule's minterms,
+which each call works out once.  An embedded run's loop carries only ints
+(the row, the block's state, each step's reading and new state) and
+builds its rows and records after the loop.  The diagrams ``ca_evolution``
+and ``run_embedded`` return are tuples of bit tuples that also keep those
+packed rows, and ``render_text`` and ``pbm_bytes`` read them.
 
 An embedded observer owns a contiguous block of cells.  The block bits,
 read left to right, are the binary code of its current state; the two
@@ -65,16 +68,23 @@ def rule_table(number: int) -> CARule:
     return CARule(number)
 
 
-def _number(rule) -> int:
+def _minterms(rule) -> list[tuple[int, int, int]]:
+    """The neighborhoods (left, center, right) that ``rule`` maps to 1."""
     if not isinstance(rule, CARule):
         raise DefinitionError(f"rule must be a CARule (see rule_table), got {rule!r}")
-    return rule.number
+    return [abc for abc, bit in rule.table.items() if bit]
 
 
 def _observer(obs) -> Observer:
     if not isinstance(obs, Observer):
         raise DefinitionError(f"observer must be an Observer, got {obs!r}")
     return obs
+
+
+def _embedded(system) -> EmbeddedSystem:
+    if not isinstance(system, EmbeddedSystem):
+        raise DefinitionError(f"system must be an EmbeddedSystem (see embed), got {system!r}")
+    return system
 
 
 def _integer(value, what: str) -> int:
@@ -84,26 +94,21 @@ def _integer(value, what: str) -> int:
         raise DefinitionError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _step(row: int, width: int, number: int) -> int:
-    """One update of a packed cyclic row: a cell with neighborhood m takes bit m of ``number``."""
+def _step(row: int, width: int, minterms: list[tuple[int, int, int]]) -> int:
+    """One update of a packed cyclic row: a cell is 1 where its neighborhood is a minterm."""
     mask = (1 << width) - 1
     left = (row >> 1) | ((row & 1) << (width - 1))
     right = ((row << 1) & mask) | (row >> (width - 1))
     planes = ((mask ^ left, left), (mask ^ row, row), (mask ^ right, right))
     out = 0
-    for m in range(8):
-        if (number >> m) & 1:
-            out |= planes[0][m >> 2] & planes[1][(m >> 1) & 1] & planes[2][m & 1]
+    for a, b, c in minterms:
+        out |= planes[0][a] & planes[1][b] & planes[2][c]
     return out
 
 
 def _pack(cells) -> int:
     """The packed row of ``cells``; a truthy cell is a 1."""
     return int(bytes(map(bool, cells)).translate(_DIGITS) or b"0", 2)
-
-
-def _unpack(row: int, width: int) -> Bits:
-    return tuple(f"{row:0{width}b}".encode().translate(_CELLS))
 
 
 class _Diagram(tuple):
@@ -113,14 +118,19 @@ class _Diagram(tuple):
     """
 
 
-def _diagram(rows: list, packed: list) -> tuple[Bits, ...]:
-    diagram = _Diagram(rows)
+def _diagram(first: Bits, packed: list, width: int) -> tuple[Bits, ...]:
+    """``first``, then every later packed row unpacked."""
+    unpacked = (tuple(f"{r:0{width}b}".encode().translate(_CELLS)) for r in packed[1:])
+    diagram = _Diagram((first, *unpacked))
     diagram._packed = tuple(packed)
     return diagram
 
 
 def _check_cells(cells) -> Bits:
-    cells = tuple(cells)
+    try:
+        cells = tuple(cells)
+    except TypeError:
+        raise DefinitionError(f"lattice must be an iterable of bits, got {cells!r}") from None
     if len(cells) < 3:
         raise DefinitionError("lattice width must be at least 3")
     if cells.count(0) + cells.count(1) != len(cells):
@@ -135,17 +145,16 @@ def ca_step(cells, rule: CARule) -> Bits:
 
 def ca_evolution(cells, rule: CARule, steps: int) -> tuple[Bits, ...]:
     """The initial row plus ``steps`` updates."""
-    number, steps = _number(rule), _integer(steps, "steps")
+    minterms, steps = _minterms(rule), _integer(steps, "steps")
     if steps < 0:
         raise DefinitionError("steps must be non-negative")
     first = _check_cells(cells)
     width, row = len(first), _pack(first)
-    rows, packed = [first], [row]
+    packed = [row]
     for _ in range(steps):
-        row = _step(row, width, number)
-        rows.append(_unpack(row, width))
+        row = _step(row, width, minterms)
         packed.append(row)
-    return _diagram(rows, packed)
+    return _diagram(first, packed, width)
 
 
 class EmbeddedSystem(_Record):
@@ -165,7 +174,7 @@ class EmbeddedSystem(_Record):
     observer: Observer
 
     def __post_init__(self) -> None:
-        _number(self.rule)
+        _minterms(self.rule)
         start = _integer(self.block_start, "block start")
         k = _integer(self.block_width, "block width")
         lattice = _check_cells(self.lattice)
@@ -217,29 +226,27 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
     steps = _integer(steps, "steps")
     if steps < 0:
         raise DefinitionError("steps must be non-negative")
-    obs = system.observer
-    w = len(system.lattice)
-    k = system.block_width
+    obs, first, k = _embedded(system).observer, system.lattice, system.block_width
+    w, minterms, f, g = len(first), _minterms(system.rule), obs.f, obs.g
     low = w - system.block_start - k  # bit of the block's rightmost cell
-    block = ((1 << k) - 1) << low
+    left, right, keep = (low + k) % w, (low - 1) % w, ~(((1 << k) - 1) << low)
+    top = 1 << (k - 1)  # the block's leftmost cell in a state code
+    # the block a new state leaves: its pattern, then the left and the right action bit
+    held = [((code & ~top | top * (z >> 1)) & ~1) | (z & 1) for code, z in enumerate(g)]
 
-    row = _pack(system.lattice)
-    rows, packed = [system.lattice], [row]
-    records = []
-    for t in range(steps):
-        j = 2 * ((row >> ((low + k) % w)) & 1) + ((row >> ((low - 1) % w)) & 1)
-        code = obs.f[(row & block) >> low][j]
-        action = obs.g[code]
-
-        row = (_step(row, w, system.rule.number) & ~block) | (code << low)
-        row = (row & ~(1 << (low + k - 1))) | ((action >> 1) << (low + k - 1))
-        row = (row & ~(1 << low)) | ((action & 1) << low)
-
-        rows.append(_unpack(row, w))
+    row = _pack(first)
+    state, packed, moves = (row >> low) & (2 * top - 1), [row], []
+    for _ in range(steps):
+        j = 2 * ((row >> left) & 1) + ((row >> right) & 1)
+        code = f[state][j]
+        state = held[code]
+        row = (_step(row, w, minterms) & keep) | (state << low)
         packed.append(row)
-        held = obs.states[(row & block) >> low]
-        records.append(TraceRecord(t, obs.inputs[j], held, obs.outputs[action], rows[-1]))
-    return _diagram(rows, packed), Trace(tuple(records))
+        moves.append((j, code))
+    rows = _diagram(first, packed, w)
+    y, x, z = obs.inputs, obs.states, obs.outputs
+    return rows, Trace([TraceRecord(t, y[j], x[held[code]], z[g[code]], rows[t + 1])
+                        for t, (j, code) in enumerate(moves)])
 
 
 def transparent_observer(rule: CARule, block_width: int) -> Observer:
@@ -250,7 +257,7 @@ def transparent_observer(rule: CARule, block_width: int) -> Observer:
     as edge neighbors, and the action repeats the new boundary bits so the
     overwrite changes nothing.
     """
-    number, block_width = _number(rule), _integer(block_width, "block width")
+    minterms, block_width = _minterms(rule), _integer(block_width, "block width")
     if block_width < 1:
         raise DefinitionError("block width must be at least 1")
     states = tuple(product((0, 1), repeat=block_width))
@@ -260,7 +267,7 @@ def transparent_observer(rule: CARule, block_width: int) -> Observer:
     # state i between sensed bits l and r is the padded code 2 * (l * n + i) + r
     n = len(states)
     transition = {
-        (bits, (l, r)): states[(_step(2 * (l * n + i) + r, block_width + 2, number) >> 1) % n]
+        (bits, (l, r)): states[(_step(2 * (l * n + i) + r, block_width + 2, minterms) >> 1) % n]
         for i, bits in enumerate(states) for l, r in inputs
     }
     output_map = {bits: (bits[0], bits[-1]) for bits in states}
@@ -284,9 +291,8 @@ def damping_observer(rule: CARule, block_width: int) -> Observer:
 def render_text(rows) -> str:
     """Rows as text, one line per row, '.' for 0 and '#' for 1."""
     if isinstance(rows, _Diagram):
-        w = len(rows[0])
-        text = b"\n".join(f"{r:0{w}b}".encode() for r in rows._packed)
-        return text.translate(_GLYPHS).decode("ascii")
+        text = "\n".join(map(f"{{:0{len(rows[0])}b}}".format, rows._packed))
+        return text.encode().translate(_GLYPHS).decode("ascii")
     return "\n".join(bytes(map(bool, row)).translate(_TEXT).decode("ascii") for row in rows)
 
 

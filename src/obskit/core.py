@@ -312,16 +312,17 @@ class CoupledSystem(_Record):
         new state emits z, and the environment reacts to z.
         """
         self._check_joint(joint)
-        return self._advance(joint, when)
+        y, x, z, s = self._advance(joint)
+        return (x, s), TraceRecord(when, y, x, z, s)
 
-    def _advance(self, joint: JointState, when: int) -> tuple[JointState, TraceRecord]:
+    def _advance(self, joint: JointState) -> tuple[Ident, Ident, Ident, Ident]:
+        """The step's reading y, new state x, action z and new environment state s."""
         # from a checked joint, the matched alphabets make every lookup succeed
         (x, s), obs, env = joint, self.observer, self.environment
         y = env.observation[s]
         x2 = obs.states[obs.f[obs.state_index[x]][obs.input_index[y]]]
         z = obs.output_map[x2]
-        s2 = env.transition[(s, z)]
-        return (x2, s2), TraceRecord(when, y, x2, z, s2)
+        return y, x2, z, env.transition[(s, z)]
 
     def run(self, joint: JointState, horizon: int) -> Trace:
         """Iterate the loop ``horizon`` times and record every step."""
@@ -330,8 +331,9 @@ class CoupledSystem(_Record):
         self._check_joint(joint)
         records, current = [], joint
         for t in range(horizon):
-            current, record = self._advance(current, t)
-            records.append(record)
+            y, x, z, s = self._advance(current)
+            records.append(TraceRecord(t, y, x, z, s))
+            current = x, s
         return Trace(tuple(records))
 
     def reachable_joints(self, starts: Iterable[JointState]) -> tuple[JointState, ...]:
@@ -344,7 +346,7 @@ class CoupledSystem(_Record):
             while current not in local:
                 local.add(current)
                 seen.setdefault(current, None)
-                current, _ = self._advance(current, 0)
+                current = self._advance(current)[1::2]  # (x, s)
         return tuple(seen)
 
 

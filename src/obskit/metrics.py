@@ -90,7 +90,7 @@ def adaptation_time(
     seen: dict[JointState, int] = {joint: 0}
     current = joint
     for t in range(1, cap + 1):
-        current, _ = system._advance(current, 0)
+        current = system._advance(current)[1::2]  # (x, s)
         if goal is not None and goal(current):
             return AdaptationResult(kind=GOAL_REACHED, steps=t)
         if current in seen:

@@ -217,6 +217,23 @@ def test_an_observer_that_is_not_an_observer_is_a_definition_error(observer):
         EmbeddedSystem(_RULE, (0,) * 8, 1, 2, observer)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda cells: ca_evolution(cells, _RULE, 2), id="ca_evolution"),
+    pytest.param(lambda cells: embed(_RULE, cells, 1, _OBS), id="embed"),
+    pytest.param(lambda cells: EmbeddedSystem(_RULE, cells, 1, 2, _OBS), id="EmbeddedSystem"),
+])
+@pytest.mark.parametrize("cells", [5, None], ids=["int", "none"])
+def test_a_lattice_that_is_not_iterable_is_a_definition_error(call, cells):
+    with pytest.raises(DefinitionError, match="lattice"):
+        call(cells)
+
+
+@pytest.mark.parametrize("system", [None, 110, ("not", "a", "system")], ids=["none", "int", "tuple"])
+def test_running_what_is_not_an_embedded_system_is_a_definition_error(system):
+    with pytest.raises(DefinitionError, match="EmbeddedSystem"):
+        run_embedded(system, 3)
+
+
 def test_a_directly_built_embedded_system_equals_the_embedded_one():
     system = EmbeddedSystem(_RULE, [0, 1] * 4, 3, 2, _OBS)
     assert system == embed(_RULE, (0, 1) * 4, 3, _OBS)
@@ -287,6 +304,29 @@ def test_random_observers_match_the_per_cell_oracle_at_every_block_start():
                 want_rows, want_records = embedded_oracle_run(cells, number, start, obs, 6)
                 assert list(rows) == want_rows
                 assert [(r.t, r.y, r.x, r.z, r.s) for r in trace] == want_records
+
+
+def test_random_observers_match_the_per_cell_oracle_on_wide_lattices():
+    # both wrap edges, where one sensor reads across the seam, on rows far wider than a machine word
+    rng = random.Random(8086)
+    for k in (1, 2, 3, 4, 5):
+        width = rng.randint(500, 1100)
+        cells = tuple(rng.randint(0, 1) for _ in range(width))
+        for start in (0, width - k, rng.randint(1, width - k - 1)):
+            number, obs = rng.randrange(256), random_block_observer(rng, k)
+            rows, trace = run_embedded(embed(rule_table(number), cells, start, obs), 12)
+            want_rows, want_records = embedded_oracle_run(cells, number, start, obs, 12)
+            assert list(rows) == want_rows
+            assert [(r.t, r.y, r.x, r.z, r.s) for r in trace] == want_records
+
+
+def test_each_trace_record_holds_the_diagram_row_itself():
+    rule = rule_table(30)
+    rng = random.Random(77)
+    cells = tuple(rng.randint(0, 1) for _ in range(300))
+    for obs in (transparent_observer(rule, 3), random_block_observer(rng, 2)):
+        rows, trace = run_embedded(embed(rule, cells, 40, obs), 50)
+        assert all(trace.steps[t].s is rows[t + 1] for t in range(50))
 
 
 def test_damping_observer_absorbs_an_incoming_pattern():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obskit.core
 from obskit.ca import rule_table
 from obskit.core import (
     CoupledSystem,
@@ -24,6 +25,7 @@ from obskit.errors import (
     IncompatibleAlphabetsError,
 )
 from obskit.machines import constant_environment, flip_environment, redundant_observer, thermostat
+from obskit.metrics import adaptation_time
 from obskit.morphism import identity_morphism
 
 from conftest import random_system
@@ -303,3 +305,23 @@ def test_minimality_monotone_under_alphabet_extension():
     for name, value in base.conditions().items():
         if value:
             assert extended.conditions()[name], f"extension flipped {name}"
+
+
+def test_only_run_builds_trace_records(monkeypatch):
+    built = []
+
+    class CountingRecord(obskit.core.TraceRecord):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(obskit.core, "TraceRecord", CountingRecord)
+    system = CoupledSystem(thermostat(), flip_environment())
+    adaptation_time(system, ("OFF", "Cold"))
+    adaptation_time(system, ("OFF", "Cold"), goal=lambda joint: joint[1] == "Mars")
+    adaptation_time(system, ("OFF", "Cold"), goal=lambda joint: joint == ("ON", "Hot"))
+    validate_minimal(system, [("OFF", "Cold"), ("ON", "Hot")])
+    assert built == []
+    trace = system.run(("OFF", "Cold"), 7)
+    assert len(built) == 7
+    assert all(type(record) is CountingRecord for record in trace)
