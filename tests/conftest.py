@@ -180,6 +180,23 @@ def cycle_oracle(graph: dict) -> bool:
     return any(reach[i][i] for i in range(n))
 
 
+# -- closed-loop reachability oracle -----------------------------------------------
+
+def reachable_joints_oracle(system: CoupledSystem, starts) -> tuple:
+    """Walk the label tables from each start until that walk repeats a joint
+    state, keeping every joint state in the order some walk first met it."""
+    obs, env = system.observer, system.environment
+    seen = {}
+    for x, s in starts:
+        walked = set()
+        while (x, s) not in walked:
+            walked.add((x, s))
+            seen.setdefault((x, s), None)
+            x = obs.transition[(x, env.observation[s])]
+            s = env.transition[(s, obs.output_map[x])]
+    return tuple(seen)
+
+
 # -- Monte-Carlo hitting-time oracle ----------------------------------------------
 
 def mc_hitting_oracle(matrix, start: int, goal, trials: int, seed: int):

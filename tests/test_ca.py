@@ -71,6 +71,16 @@ def test_all_256_rules_round_trip():
         assert rebuilt == n
 
 
+def test_calling_a_rule_reads_its_table():
+    for n in range(256):
+        rule = rule_table(n)
+        for abc in product((0, 1), repeat=3):
+            assert rule(*abc) == rule.table[abc]
+    assert rule_table(110)(True, 1.0, 0) == 1
+    with pytest.raises(KeyError):
+        rule_table(110)(2, 0, 0)
+
+
 # -- stepping -----------------------------------------------------------------
 
 def test_single_seed_grows_leftward():
@@ -182,6 +192,21 @@ def test_non_integer_counts_and_positions_are_definition_errors(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ca_evolution((0, 1, 0, 0), _RULE, -1), "steps must be non-negative",
+                 id="ca_evolution-steps"),
+    pytest.param(lambda: run_embedded(embed(_RULE, (0,) * 8, 1, _OBS), -2), "steps must be non-negative",
+                 id="run_embedded-steps"),
+    pytest.param(lambda: transparent_observer(_RULE, 0), "block width must be at least 1",
+                 id="transparent_observer-width"),
+    pytest.param(lambda: damping_observer(_RULE, -1), "block width must be at least 1",
+                 id="damping_observer-width"),
+])
+def test_counts_below_their_bound_are_definition_errors(call, message):
+    with pytest.raises(DefinitionError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda rule: ca_step((0, 1, 0, 0), rule), id="ca_step"),
     pytest.param(lambda rule: ca_evolution((0, 1, 0, 0), rule, 2), id="ca_evolution"),
@@ -200,6 +225,7 @@ def test_a_plain_int_rule_is_a_definition_error(call):
     pytest.param((_RULE, (0,) * 8, 1, 2.0, _OBS), DefinitionError, id="float-width"),
     pytest.param((_RULE, (0, 2, 0, 0, 0), 1, 2, _OBS), DefinitionError, id="non-bit-lattice"),
     pytest.param((_RULE, (0,) * 8, 1, 3, _OBS), EncodingError, id="width-not-the-state-code"),
+    pytest.param((_RULE, (0,) * 8, 1, 1, _OBS), EncodingError, id="width-below-the-state-code"),
     pytest.param((_RULE, (0,) * 8, 7, 2, _OBS), DefinitionError, id="wrapping-block"),
     pytest.param((_RULE, (0,) * 8, -1, 2, _OBS), DefinitionError, id="negative-start"),
     pytest.param((_RULE, (0,) * 3, 0, 2, _OBS), DefinitionError, id="no-room-for-environment"),

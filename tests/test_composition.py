@@ -418,3 +418,16 @@ def test_lab_script_shows_relational_asymmetry_then_agreement():
 def test_lab_script_down_branch():
     run = run_lab_script(spin="down")
     assert known_spin_values(run.ledger, run.outsider_id, run.read_step) == frozenset({"spin-down"})
+
+
+@pytest.mark.parametrize("spin, reading, insider_state, seen, outsider_state", [
+    ("up", "SpinUp", "UpRecorded", "SeesUp", "KnowsUp"),
+    ("down", "SpinDown", "DownRecorded", "SeesDown", "KnowsDown"),
+])
+def test_lab_script_result_is_pinned(spin, reading, insider_state, seen, outsider_state):
+    assert repr(run_lab_script(spin)) == (
+        "LabScriptRun(ledger=FactLedger(entries=("
+        f"FactEntry(observer_id='insider', step=1, received='{reading}', state='{insider_state}'), "
+        f"FactEntry(observer_id='outsider', step=5, received='{seen}', state='{outsider_state}'))), "
+        "insider_id='insider', outsider_id='outsider', measurement_step=1, read_step=5)"
+    )

@@ -28,7 +28,7 @@ from obskit.machines import constant_environment, flip_environment, redundant_ob
 from obskit.metrics import adaptation_time
 from obskit.morphism import identity_morphism
 
-from conftest import random_system
+from conftest import random_environment, random_observer, random_system, reachable_joints_oracle
 
 
 # -- construction invariants -------------------------------------------------
@@ -68,6 +68,26 @@ def test_incompatible_alphabets_rejected_at_coupling():
     )
     with pytest.raises(IncompatibleAlphabetsError):
         CoupledSystem(thermostat(), env)
+
+
+def test_observer_actions_the_environment_does_not_accept_are_rejected_at_coupling():
+    env = Environment(
+        states=("Cold", "Hot"), actions=("HeaterOff",),
+        transition={("Cold", "HeaterOff"): "Cold", ("Hot", "HeaterOff"): "Cold"},
+        observation={"Cold": "Cold", "Hot": "Hot"},
+    )
+    with pytest.raises(IncompatibleAlphabetsError, match="does not accept: \\[\"'HeaterOn'\"\\]"):
+        CoupledSystem(thermostat(), env)
+
+
+def test_environment_observe_and_react():
+    env = flip_environment()
+    assert env.observe("Hot") == "Hot"
+    assert env.react("Cold", "HeaterOn") == "Hot"
+    with pytest.raises(IdentifierError, match="unknown environment state 'Warm'"):
+        env.observe("Warm")
+    with pytest.raises(IdentifierError, match="unknown environment state or action"):
+        env.react("Cold", "Fan")
 
 
 @pytest.mark.parametrize("make, table, key", [
@@ -233,6 +253,24 @@ def test_pigeonhole_recurrence(seed):
 
 
 # -- minimality ------------------------------------------------------------------
+
+def test_reachable_joints_match_the_per_start_oracle_in_order():
+    rng = random.Random(41)
+    for _ in range(200):
+        obs = random_observer(rng, max_size=12)
+        system = CoupledSystem(obs, random_environment(rng, obs, n_env=rng.randint(1, 12)))
+        pool = [(rng.choice(obs.states), rng.choice(system.environment.states))
+                for _ in range(rng.randint(1, 8))]
+        starts = [rng.choice(pool) for _ in range(rng.randint(1, 20))]
+        assert system.reachable_joints(starts) == reachable_joints_oracle(system, starts)
+
+
+def test_reachable_joints_check_a_start_after_the_walks_have_covered_it():
+    system = CoupledSystem(thermostat(), flip_environment())
+    assert system.reachable_joints([("OFF", "Cold"), ("ON", "Hot")]) == (("OFF", "Cold"), ("ON", "Hot"))
+    with pytest.raises(IdentifierError, match="unknown environment state 'Mars'"):
+        system.reachable_joints([("OFF", "Cold"), ("ON", "Hot"), ("ON", "Mars")])
+
 
 def test_thermostat_with_flip_environment_is_minimal():
     system = CoupledSystem(thermostat(), flip_environment())

@@ -88,6 +88,37 @@ def test_non_string_table_value_is_a_reference_error(table, key, value):
         parse_observer(json.dumps(doc))
 
 
+def _with(name, value):
+    doc = thermostat_doc()
+    doc[name] = value
+    return json.dumps(doc)
+
+
+def _without_comma_in_a_transition_key():
+    doc = thermostat_doc()
+    doc["transitions"]["OFFCold"] = doc["transitions"].pop("OFF,Cold")
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    pytest.param(lambda: b'{"states": "\xff"}', DocumentParseError, "document is not UTF-8", id="not-utf8"),
+    pytest.param(lambda: "[1, 2]", DocumentError, "document root must be a JSON object", id="root-array"),
+    pytest.param(lambda: _with("inputs", []), DocumentError, "'inputs' must be a non-empty array",
+                 id="empty-array"),
+    pytest.param(lambda: _with("outputs", ["HeaterOff", 3]), DocumentError,
+                 "'outputs' entries must be non-empty strings", id="non-string-entry"),
+    pytest.param(lambda: _with("output_map", ["HeaterOff"]), DocumentError, "'output_map' must be an object",
+                 id="table-not-object"),
+    pytest.param(_without_comma_in_a_transition_key, DocumentError,
+                 "'transitions' key 'OFFCold' must be 'state,input'", id="pair-key-without-comma"),
+    pytest.param(lambda: _with("boundary", 7), DocumentError, "'boundary' must be a string",
+                 id="non-string-boundary"),
+])
+def test_malformed_documents_are_document_errors(text, error, message):
+    with pytest.raises(error, match=message):
+        parse_observer(text())
+
+
 def test_comma_in_identifier_rejected():
     doc = thermostat_doc()
     doc["states"] = ["O,FF", "ON"]

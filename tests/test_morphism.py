@@ -351,6 +351,19 @@ def test_redundant_pair_collapses():
     assert check_homomorphism(source, reduced, quotient).holds
 
 
+def test_block_of_finds_a_state_and_rejects_an_unknown_one():
+    _, partition, _ = minimize(redundant_observer())
+    assert partition.block_of("b") == ("a", "b")
+    with pytest.raises(IdentifierError, match="unknown state 'c'"):
+        partition.block_of("c")
+
+
+def test_a_non_bijective_morphism_has_no_inverse():
+    _, _, quotient = minimize(redundant_observer())
+    with pytest.raises(MorphismShapeError, match="cannot invert a non-bijective morphism"):
+        quotient.inverse()
+
+
 def test_behaviorally_equal_inputs_merge():
     obs = Observer(
         states=("s0", "s1"),
