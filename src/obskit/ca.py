@@ -33,7 +33,7 @@ import operator
 from itertools import product
 from types import MappingProxyType
 
-from .core import Observer, Trace, TraceRecord, _Record
+from .core import Observer, Trace, TraceRecord, _of_type, _Record
 from .errors import DefinitionError, EncodingError
 
 Bits = tuple[int, ...]
@@ -42,6 +42,7 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _CELLS = bytes.maketrans(b"01", b"\0\1")
 _TEXT = bytes.maketrans(b"\0\1", b".#")
 _GLYPHS = bytes.maketrans(b"01", b".#")
+_BIT = {abc: i for i, abc in enumerate(product((0, 1), repeat=3))}  # (a, b, c) is bit 4a + 2b + c
 
 
 class CARule(_Record):
@@ -56,11 +57,10 @@ class CARule(_Record):
     @property
     def table(self) -> MappingProxyType:
         """The neighborhood table, a read-only view derived from ``number``."""
-        neighborhoods = enumerate(product((0, 1), repeat=3))  # (a, b, c) is number 4a + 2b + c
-        return MappingProxyType({abc: (self.number >> i) & 1 for i, abc in neighborhoods})
+        return MappingProxyType({abc: (self.number >> i) & 1 for abc, i in _BIT.items()})
 
     def __call__(self, left: int, center: int, right: int) -> int:
-        return self.table[(left, center, right)]
+        return (self.number >> _BIT[(left, center, right)]) & 1
 
 
 def rule_table(number: int) -> CARule:
@@ -70,28 +70,19 @@ def rule_table(number: int) -> CARule:
 
 def _minterms(rule) -> list[tuple[int, int, int]]:
     """The neighborhoods (left, center, right) that ``rule`` maps to 1."""
-    if not isinstance(rule, CARule):
-        raise DefinitionError(f"rule must be a CARule (see rule_table), got {rule!r}")
-    return [abc for abc, bit in rule.table.items() if bit]
+    number = _of_type(rule, CARule, "rule must be a CARule (see rule_table)").number
+    return [abc for abc, i in _BIT.items() if (number >> i) & 1]
 
 
-def _observer(obs) -> Observer:
-    if not isinstance(obs, Observer):
-        raise DefinitionError(f"observer must be an Observer, got {obs!r}")
-    return obs
-
-
-def _embedded(system) -> EmbeddedSystem:
-    if not isinstance(system, EmbeddedSystem):
-        raise DefinitionError(f"system must be an EmbeddedSystem (see embed), got {system!r}")
-    return system
-
-
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int, which must be at least ``least`` when that is given."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise DefinitionError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise DefinitionError(f"{what} must be {f'at least {least}' if least else 'non-negative'}")
+    return number
 
 
 def _step(row: int, width: int, minterms: list[tuple[int, int, int]]) -> int:
@@ -145,9 +136,7 @@ def ca_step(cells, rule: CARule) -> Bits:
 
 def ca_evolution(cells, rule: CARule, steps: int) -> tuple[Bits, ...]:
     """The initial row plus ``steps`` updates."""
-    minterms, steps = _minterms(rule), _integer(steps, "steps")
-    if steps < 0:
-        raise DefinitionError("steps must be non-negative")
+    minterms, steps = _minterms(rule), _integer(steps, "steps", 0)
     first = _check_cells(cells)
     width, row = len(first), _pack(first)
     packed = [row]
@@ -179,7 +168,7 @@ class EmbeddedSystem(_Record):
         k = _integer(self.block_width, "block width")
         lattice = _check_cells(self.lattice)
         width = len(lattice)
-        obs = _observer(self.observer)
+        obs = _of_type(self.observer, Observer, "observer must be an Observer")
         n_states = len(obs.states)
         if n_states < 2 or n_states & (n_states - 1):
             raise EncodingError(
@@ -211,8 +200,8 @@ def embed(rule: CARule, lattice, block_start: int, observer: Observer) -> Embedd
     The block is as wide as the observer's state count encodes; see
     ``EmbeddedSystem`` for the matching and the checks.
     """
-    block_width = len(_observer(observer).states).bit_length() - 1
-    return EmbeddedSystem(rule, lattice, block_start, block_width, observer)
+    observer = _of_type(observer, Observer, "observer must be an Observer")
+    return EmbeddedSystem(rule, lattice, block_start, len(observer.states).bit_length() - 1, observer)
 
 
 def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], Trace]:
@@ -223,10 +212,9 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
     after the step (action overwrites included), the emitted action pair,
     and the full new lattice row.
     """
-    steps = _integer(steps, "steps")
-    if steps < 0:
-        raise DefinitionError("steps must be non-negative")
-    obs, first, k = _embedded(system).observer, system.lattice, system.block_width
+    steps = _integer(steps, "steps", 0)
+    system = _of_type(system, EmbeddedSystem, "system must be an EmbeddedSystem (see embed)")
+    obs, first, k = system.observer, system.lattice, system.block_width
     w, minterms, f, g = len(first), _minterms(system.rule), obs.f, obs.g
     low = w - system.block_start - k  # bit of the block's rightmost cell
     left, right, keep = (low + k) % w, (low - 1) % w, ~(((1 << k) - 1) << low)
@@ -257,9 +245,7 @@ def transparent_observer(rule: CARule, block_width: int) -> Observer:
     as edge neighbors, and the action repeats the new boundary bits so the
     overwrite changes nothing.
     """
-    minterms, block_width = _minterms(rule), _integer(block_width, "block width")
-    if block_width < 1:
-        raise DefinitionError("block width must be at least 1")
+    minterms, block_width = _minterms(rule), _integer(block_width, "block width", 1)
     states = tuple(product((0, 1), repeat=block_width))
     inputs = tuple(product((0, 1), repeat=2))
     outputs = tuple(product((0, 1), repeat=2))

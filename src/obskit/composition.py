@@ -347,6 +347,16 @@ def known_spin_values(ledger: FactLedger, observer_id: Hashable, step: int) -> f
     )
 
 
+def _recorder(states: tuple, inputs: tuple, outputs: tuple, boundary: str) -> Observer:
+    """A waiting state that records the first up or down input and keeps it for good.
+
+    Each triple lists its waiting (or quiet) name, then its up name, then its down name.
+    """
+    transition = {(x, y): x for x in states for y in inputs}
+    transition.update({(states[0], inputs[1]): states[1], (states[0], inputs[2]): states[2]})
+    return Observer(states, inputs, outputs, transition, dict(zip(states, outputs)), boundary)
+
+
 def run_lab_script(spin: str = "up") -> LabScriptRun:
     """Run the classic sealed-lab scenario with two observers.
 
@@ -359,50 +369,10 @@ def run_lab_script(spin: str = "up") -> LabScriptRun:
     if spin not in ("up", "down"):
         raise DefinitionError("spin must be 'up' or 'down'")
 
-    insider = Observer(
-        states=("Ready", "UpRecorded", "DownRecorded"),
-        inputs=("SpinUp", "SpinDown", "Quiet"),
-        outputs=("Blank", "ShowsUp", "ShowsDown"),
-        transition={
-            ("Ready", "SpinUp"): "UpRecorded",
-            ("Ready", "SpinDown"): "DownRecorded",
-            ("Ready", "Quiet"): "Ready",
-            ("UpRecorded", "SpinUp"): "UpRecorded",
-            ("UpRecorded", "SpinDown"): "UpRecorded",
-            ("UpRecorded", "Quiet"): "UpRecorded",
-            ("DownRecorded", "SpinUp"): "DownRecorded",
-            ("DownRecorded", "SpinDown"): "DownRecorded",
-            ("DownRecorded", "Quiet"): "DownRecorded",
-        },
-        output_map={
-            "Ready": "Blank",
-            "UpRecorded": "ShowsUp",
-            "DownRecorded": "ShowsDown",
-        },
-        boundary="insider: lab bench and apparatus inside",
-    )
-    outsider = Observer(
-        states=("Waiting", "KnowsUp", "KnowsDown"),
-        inputs=("Nothing", "SeesUp", "SeesDown"),
-        outputs=("Idle", "ReportsUp", "ReportsDown"),
-        transition={
-            ("Waiting", "Nothing"): "Waiting",
-            ("Waiting", "SeesUp"): "KnowsUp",
-            ("Waiting", "SeesDown"): "KnowsDown",
-            ("KnowsUp", "Nothing"): "KnowsUp",
-            ("KnowsUp", "SeesUp"): "KnowsUp",
-            ("KnowsUp", "SeesDown"): "KnowsUp",
-            ("KnowsDown", "Nothing"): "KnowsDown",
-            ("KnowsDown", "SeesUp"): "KnowsDown",
-            ("KnowsDown", "SeesDown"): "KnowsDown",
-        },
-        output_map={
-            "Waiting": "Idle",
-            "KnowsUp": "ReportsUp",
-            "KnowsDown": "ReportsDown",
-        },
-        boundary="outsider: everything outside the sealed lab",
-    )
+    insider = _recorder(("Ready", "UpRecorded", "DownRecorded"), ("Quiet", "SpinUp", "SpinDown"),
+                        ("Blank", "ShowsUp", "ShowsDown"), "insider: lab bench and apparatus inside")
+    outsider = _recorder(("Waiting", "KnowsUp", "KnowsDown"), ("Nothing", "SeesUp", "SeesDown"),
+                         ("Idle", "ReportsUp", "ReportsDown"), "outsider: everything outside the sealed lab")
 
     ledger = FactLedger()
     measurement_step, read_step = 1, 5

@@ -37,6 +37,13 @@ def _ordered_unique(label: str, items: Iterable[Ident]) -> tuple[Ident, ...]:
     return out
 
 
+def _of_type(value, cls: type, claim: str):
+    """``value``, if it is a ``cls``; otherwise a DefinitionError stating ``claim``."""
+    if not isinstance(value, cls):
+        raise DefinitionError(f"{claim}, got {value!r}")
+    return value
+
+
 def check_total(label: str, mapping: Mapping, domain: Collection,
                 codomain: Iterable | None = None, error: type[Exception] = DefinitionError,
                 incomplete: type[Exception] | None = None) -> dict:
@@ -280,7 +287,8 @@ JointState = tuple[Ident, Ident]
 class CoupledSystem(_Record):
     """An observer wired to an environment in a closed loop.
 
-    Construction rejects incompatible alphabets: every reading the
+    Construction rejects arguments that are not an ``Observer`` and an
+    ``Environment``, then incompatible alphabets: every reading the
     environment can offer must be an observer input, and every observer
     action must be an environment action.
     """
@@ -289,11 +297,13 @@ class CoupledSystem(_Record):
     environment: Environment
 
     def __post_init__(self) -> None:
-        unknown = set(self.environment.readings) - set(self.observer.inputs)
+        obs = _of_type(self.observer, Observer, "observer must be an Observer")
+        env = _of_type(self.environment, Environment, "environment must be an Environment")
+        unknown = set(env.readings) - set(obs.inputs)
         if unknown:
             raise IncompatibleAlphabetsError("environment offers readings the observer cannot sense: "
                                              f"{sorted(map(repr, unknown))}")
-        stray = set(self.observer.outputs) - set(self.environment.actions)
+        stray = set(obs.outputs) - set(env.actions)
         if stray:
             raise IncompatibleAlphabetsError("observer actions the environment does not accept: "
                                              f"{sorted(map(repr, stray))}")
@@ -342,10 +352,9 @@ class CoupledSystem(_Record):
         for start in starts:
             self._check_joint(start)
             current = start
-            local = set()
-            while current not in local:
-                local.add(current)
-                seen.setdefault(current, None)
+            # each earlier walk ran to a cycle, so all a seen joint leads to is seen
+            while current not in seen:
+                seen[current] = None
                 current = self._advance(current)[1::2]  # (x, s)
         return tuple(seen)
 

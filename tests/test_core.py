@@ -80,6 +80,17 @@ def test_observer_actions_the_environment_does_not_accept_are_rejected_at_coupli
         CoupledSystem(thermostat(), env)
 
 
+@pytest.mark.parametrize("observer, environment, message", [
+    (None, flip_environment(), "observer must be an Observer, got None"),
+    (thermostat(), None, "environment must be an Environment, got None"),
+    (flip_environment(), thermostat(), "observer must be an Observer, got Environment"),
+], ids=["no-observer", "no-environment", "swapped"])
+def test_coupling_what_is_not_an_observer_and_an_environment_is_a_definition_error(
+        observer, environment, message):
+    with pytest.raises(DefinitionError, match=message):
+        CoupledSystem(observer, environment)
+
+
 def test_environment_observe_and_react():
     env = flip_environment()
     assert env.observe("Hot") == "Hot"
