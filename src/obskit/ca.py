@@ -29,11 +29,10 @@ environment through the standard coupling.
 
 from __future__ import annotations
 
-import operator
 from itertools import product
 from types import MappingProxyType
 
-from .core import Observer, Trace, TraceRecord, _of_type, _Record
+from .core import Observer, Trace, TraceRecord, _integer, _of_type, _Record
 from .errors import DefinitionError, EncodingError
 
 Bits = tuple[int, ...]
@@ -72,17 +71,6 @@ def _minterms(rule) -> list[tuple[int, int, int]]:
     """The neighborhoods (left, center, right) that ``rule`` maps to 1."""
     number = _of_type(rule, CARule, "rule must be a CARule (see rule_table)").number
     return [abc for abc, i in _BIT.items() if (number >> i) & 1]
-
-
-def _integer(value, what: str, least: int | None = None) -> int:
-    """``value`` as an int, which must be at least ``least`` when that is given."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        raise DefinitionError(f"{what} must be an integer, got {value!r}") from None
-    if least is not None and number < least:
-        raise DefinitionError(f"{what} must be {f'at least {least}' if least else 'non-negative'}")
-    return number
 
 
 def _step(row: int, width: int, minterms: list[tuple[int, int, int]]) -> int:

@@ -14,13 +14,16 @@ used freely from multiple threads, hashed, and pickled; every value type
 in the package is a ``_Record``.  Each machine checks its dict tables once
 (``check_total``) and keeps them as integer tables over construction-order
 indices (``f``, ``g``); the label tables stay readable as read-only
-``types.MappingProxyType`` views.
+``types.MappingProxyType`` views.  The closed loop runs on those integer
+tables alone, joined by two index maps the coupled system derives once;
+labels are looked up only for what a caller gets back.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
+from itertools import islice, pairwise
 from types import MappingProxyType
 
 from .errors import DefinitionError, IdentifierError, IncompatibleAlphabetsError
@@ -42,6 +45,17 @@ def _of_type(value, cls: type, claim: str):
     if not isinstance(value, cls):
         raise DefinitionError(f"{claim}, got {value!r}")
     return value
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int, which must be at least ``least`` when that is given."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise DefinitionError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise DefinitionError(f"{what} must be {f'at least {least}' if least else 'non-negative'}")
+    return number
 
 
 def check_total(label: str, mapping: Mapping, domain: Collection,
@@ -217,8 +231,9 @@ class Environment(_Machine):
     ``transition`` maps (environment state, observer action) to the next
     environment state; ``observation`` maps each environment state to the
     reading it offers the observer.  ``f[i][j]`` is the index of the state
-    that state i moves to on action j, and ``readings[i]`` is the reading
-    state i offers.
+    that state i moves to on action j, ``readings[i]`` is the reading
+    state i offers, and ``state_index`` maps each state to its index; like
+    ``Observer``'s, they are derived, not fields.
     """
 
     states: tuple[Ident, ...]
@@ -237,7 +252,7 @@ class Environment(_Machine):
         self._assign(states=states, actions=actions, transition=MappingProxyType(transition),
                      observation=MappingProxyType(observation),
                      f=_rows([si[transition[k]] for k in keys], len(actions)),
-                     readings=tuple([observation[s] for s in states]))
+                     readings=tuple([observation[s] for s in states]), state_index=MappingProxyType(si))
 
     def observe(self, state: Ident) -> Ident:
         try:
@@ -290,7 +305,10 @@ class CoupledSystem(_Record):
     Construction rejects arguments that are not an ``Observer`` and an
     ``Environment``, then incompatible alphabets: every reading the
     environment can offer must be an observer input, and every observer
-    action must be an environment action.
+    action must be an environment action.  The loop then runs on the two
+    machines' integer tables, joined by ``_sense`` (environment state index
+    to the index of the observer input it offers) and ``_act`` (observer
+    output index to environment action index).
     """
 
     observer: Observer
@@ -307,13 +325,28 @@ class CoupledSystem(_Record):
         if stray:
             raise IncompatibleAlphabetsError("observer actions the environment does not accept: "
                                              f"{sorted(map(repr, stray))}")
+        actions = _index(env.actions)
+        self._assign(_sense=tuple([obs.input_index[y] for y in env.readings]),
+                     _act=tuple([actions[z] for z in obs.outputs]))
 
-    def _check_joint(self, joint: JointState) -> None:
-        x, s = joint
-        if x not in self.observer.output_map:
+    def _walk(self, joint: JointState) -> Iterator[tuple[int, int]]:
+        """Index pairs (x, s) the loop visits from ``joint`` on; the first ``next`` checks ``joint``."""
+        obs, env = self.observer, self.environment
+        try:
+            x, s = joint
+            i, e = obs.state_index.get(x), env.state_index.get(s)
+        except (TypeError, ValueError):
+            raise IdentifierError(f"a joint is an (observer state, environment state) pair, "
+                                  f"got {joint!r}") from None
+        if i is None:
             raise IdentifierError(f"unknown observer state {x!r}")
-        if s not in self.environment.observation:
+        if e is None:
             raise IdentifierError(f"unknown environment state {s!r}")
+        f, g, react, sense, act = obs.f, obs.g, env.f, self._sense, self._act
+        while True:
+            yield i, e
+            i = f[i][sense[e]]
+            e = react[e][act[g[i]]]
 
     def step(self, joint: JointState, when: int = 0) -> tuple[JointState, TraceRecord]:
         """Advance the loop once.
@@ -321,42 +354,30 @@ class CoupledSystem(_Record):
         In order: the environment offers y, the observer updates to x', the
         new state emits z, and the environment reacts to z.
         """
-        self._check_joint(joint)
-        y, x, z, s = self._advance(joint)
-        return (x, s), TraceRecord(when, y, x, z, s)
-
-    def _advance(self, joint: JointState) -> tuple[Ident, Ident, Ident, Ident]:
-        """The step's reading y, new state x, action z and new environment state s."""
-        # from a checked joint, the matched alphabets make every lookup succeed
-        (x, s), obs, env = joint, self.observer, self.environment
-        y = env.observation[s]
-        x2 = obs.states[obs.f[obs.state_index[x]][obs.input_index[y]]]
-        z = obs.output_map[x2]
-        return y, x2, z, env.transition[(s, z)]
+        walk = self._walk(joint)
+        (_, e), (i, e2) = next(walk), next(walk)
+        obs, env = self.observer, self.environment
+        x, s = obs.states[i], env.states[e2]
+        return (x, s), TraceRecord(when, env.readings[e], x, obs.outputs[obs.g[i]], s)
 
     def run(self, joint: JointState, horizon: int) -> Trace:
         """Iterate the loop ``horizon`` times and record every step."""
-        if horizon < 0:
-            raise DefinitionError("horizon must be non-negative")
-        self._check_joint(joint)
-        records, current = [], joint
-        for t in range(horizon):
-            y, x, z, s = self._advance(current)
-            records.append(TraceRecord(t, y, x, z, s))
-            current = x, s
-        return Trace(tuple(records))
+        pairs = pairwise(islice(self._walk(joint), _integer(horizon, "horizon", 0) + 1))
+        obs, env = self.observer, self.environment
+        y, x, z, s, g = env.readings, obs.states, obs.outputs, env.states, obs.g
+        return Trace(TraceRecord(t, y[e], x[i], z[g[i]], s[e2]) for t, ((_, e), (i, e2)) in enumerate(pairs))
 
     def reachable_joints(self, starts: Iterable[JointState]) -> tuple[JointState, ...]:
         """Joint states visited by the loop from each start, starts included."""
-        seen: dict[JointState, None] = {}
+        seen: dict[tuple[int, int], None] = {}
         for start in starts:
-            self._check_joint(start)
-            current = start
             # each earlier walk ran to a cycle, so all a seen joint leads to is seen
-            while current not in seen:
-                seen[current] = None
-                current = self._advance(current)[1::2]  # (x, s)
-        return tuple(seen)
+            for joint in self._walk(start):
+                if joint in seen:
+                    break
+                seen[joint] = None
+        x, s = self.observer.states, self.environment.states
+        return tuple([(x[i], s[e]) for i, e in seen])
 
 
 class MinimalityReport(_Record):
@@ -392,12 +413,10 @@ def validate_minimal(system: CoupledSystem, starts: Iterable[JointState]) -> Min
     loop whose actions never matter further downstream.
     """
     obs, env = system.observer, system.environment
-    env_reachable = {s for _, s in system.reachable_joints(starts)}
+    reached = {env.state_index[s] for _, s in system.reachable_joints(starts)}
 
-    actions_matter = any(
-        len({env.transition[(s, a)] for a in env.actions}) > 1 for s in env_reachable
-    )
-    readings_vary = len({env.observation[s] for s in env_reachable}) > 1
+    actions_matter = any(len(set(env.f[e])) > 1 for e in reached)
+    readings_vary = len({env.readings[e] for e in reached}) > 1
 
     return MinimalityReport(
         has_inputs=len(obs.inputs) >= 1,

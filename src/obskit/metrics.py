@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from .core import CoupledSystem, JointState, Observer, _Record
+from .core import CoupledSystem, JointState, Observer, _integer, _Record
 from .errors import CapExceededError, DefinitionError, IdentifierError, NumericalError
 from .morphism import minimize
 
@@ -78,31 +78,21 @@ def adaptation_time(
     cap guards goal runs over state spaces too large to exhaust; exceeding
     it raises ``CapExceededError``.
     """
-    if cap is None:
-        cap = len(system.observer.states) * len(system.environment.states) + 1
-    if cap < 1:
-        raise DefinitionError("cap must be at least 1")
-    system._check_joint(joint)
-
-    if goal is not None and goal(joint):
-        return AdaptationResult(kind=GOAL_REACHED, steps=0)
-
-    seen: dict[JointState, int] = {joint: 0}
-    current = joint
-    for t in range(1, cap + 1):
-        current = system._advance(current)[1::2]  # (x, s)
-        if goal is not None and goal(current):
+    x, s = system.observer.states, system.environment.states
+    cap = _integer(len(x) * len(s) + 1 if cap is None else cap, "cap", 1)
+    seen: dict[tuple[int, int], int] = {}
+    for t, (i, e) in enumerate(system._walk(joint)):
+        if goal is not None and goal((x[i], s[e])):
             return AdaptationResult(kind=GOAL_REACHED, steps=t)
-        if current in seen:
+        first = seen.setdefault((i, e), t)
+        if first != t:
             if goal is not None:
                 return AdaptationResult(kind=GOAL_UNREACHABLE)
-            period = t - seen[current]
-            settled = seen[current] if period == 1 else t
-            return AdaptationResult(
-                kind=TRANSIENT_TO_CYCLE, steps=settled, cycle_period=period
-            )
-        seen[current] = t
-    raise CapExceededError(f"no revisit or goal within {cap} steps")
+            period = t - first
+            return AdaptationResult(kind=TRANSIENT_TO_CYCLE, steps=first if period == 1 else t,
+                                    cycle_period=period)
+        if t == cap:
+            raise CapExceededError(f"no revisit or goal within {cap} steps")
 
 
 def _closure(edges: np.ndarray, seeds: list[int], blocked: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ import pytest
 
 from obskit.composition import default_registry
 from obskit.core import CoupledSystem, Environment, Observer
+from obskit.errors import CapExceededError
+from obskit.metrics import GOAL_REACHED, GOAL_UNREACHABLE, TRANSIENT_TO_CYCLE, AdaptationResult
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -195,6 +197,32 @@ def reachable_joints_oracle(system: CoupledSystem, starts) -> tuple:
             x = obs.transition[(x, env.observation[s])]
             s = env.transition[(s, obs.output_map[x])]
     return tuple(seen)
+
+
+def adaptation_time_oracle(system: CoupledSystem, joint, goal=None, cap=None) -> AdaptationResult:
+    """Walk the label tables from ``joint`` until a joint state repeats, then
+    read the result off that whole orbit: the first goal joint of a goal run,
+    else the revisit; past ``cap`` steps (|X|*|S| + 1 by default) the run is
+    ``CapExceededError`` instead."""
+    obs, env = system.observer, system.environment
+    orbit, (x, s) = [], joint
+    while (x, s) not in orbit:
+        orbit.append((x, s))
+        x = obs.transition[(x, env.observation[s])]
+        s = env.transition[(s, obs.output_map[x])]
+    tail, revisit = orbit.index((x, s)), len(orbit)
+    hits = [t for t, j in enumerate(orbit) if goal is not None and goal(j)]
+    if hits:
+        decided, result = hits[0], AdaptationResult(GOAL_REACHED, hits[0])
+    elif goal is not None:
+        decided, result = revisit, AdaptationResult(GOAL_UNREACHABLE)
+    else:
+        period = revisit - tail
+        decided, result = revisit, AdaptationResult(TRANSIENT_TO_CYCLE, tail if period == 1 else revisit, period)
+    limit = len(obs.states) * len(env.states) + 1 if cap is None else cap
+    if decided > limit:
+        raise CapExceededError(f"decided at step {decided}, past the cap {limit}")
+    return result
 
 
 # -- Monte-Carlo hitting-time oracle ----------------------------------------------

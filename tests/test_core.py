@@ -233,6 +233,44 @@ def test_runs_are_deterministic():
     assert system.run(("OFF", "Cold"), 9) == system.run(("OFF", "Cold"), 9)
 
 
+@pytest.mark.parametrize("horizon, message", [
+    (2.5, "^horizon must be an integer, got 2.5$"),
+    ("3", "^horizon must be an integer, got '3'$"),
+    (None, "^horizon must be an integer, got None$"),
+    (-1, "^horizon must be non-negative$"),
+])
+def test_a_horizon_that_is_not_a_count_is_a_definition_error(horizon, message):
+    system = CoupledSystem(thermostat(), flip_environment())
+    with pytest.raises(DefinitionError, match=message):
+        system.run(("OFF", "Cold"), horizon)
+
+
+@pytest.mark.parametrize("call", [
+    lambda system: system.step(("OFF",)),
+    lambda system: system.step(7),
+    lambda system: system.run("OFF", 1),
+    lambda system: system.run((["OFF"], "Cold"), 0),
+    lambda system: adaptation_time(system, ("OFF", "Cold", "x")),
+    lambda system: system.reachable_joints([(["OFF"], "Cold")]),
+    lambda system: validate_minimal(system, [("OFF", {"Cold": 1})]),
+], ids=["step-one-item", "step-int", "run-string", "run-list-label", "adapt-three-items",
+        "reachable-list-label", "minimal-dict-label"])
+def test_a_joint_that_is_not_a_pair_of_hashable_labels_is_an_identifier_error(call):
+    system = CoupledSystem(thermostat(), flip_environment())
+    with pytest.raises(IdentifierError, match="pair"):
+        call(system)
+
+
+def test_a_list_pair_of_known_labels_is_a_joint_everywhere():
+    system = CoupledSystem(thermostat(), flip_environment())
+    for call in (system.step, lambda j: system.run(j, 5), lambda j: system.reachable_joints([j]),
+                 lambda j: adaptation_time(system, j), lambda j: validate_minimal(system, [j])):
+        assert call(["OFF", "Cold"]) == call(("OFF", "Cold"))
+    assert system.reachable_joints([["OFF", "Cold"]]) == (("OFF", "Cold"), ("ON", "Hot"))
+    constant = CoupledSystem(thermostat(), constant_environment("Hot"))
+    assert constant.reachable_joints([["OFF", "Hot"]]) == (("OFF", "Hot"),)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_loop_order_law_holds_on_random_systems(seed):

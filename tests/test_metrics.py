@@ -34,6 +34,7 @@ from obskit.metrics import (
 )
 
 from conftest import (
+    adaptation_time_oracle,
     mc_hitting_oracle,
     random_dense_chain,
     random_environment,
@@ -174,6 +175,42 @@ def test_settling_within_pigeonhole_bound(seed):
     assert result.kind == TRANSIENT_TO_CYCLE
     assert result.steps <= bound
     assert 1 <= result.cycle_period <= bound
+
+
+@pytest.mark.parametrize("cap, message", [
+    (2.5, "^cap must be an integer, got 2.5$"),
+    ("3", "^cap must be an integer, got '3'$"),
+    (0, "^cap must be at least 1$"),
+])
+def test_a_cap_that_is_not_a_positive_count_is_a_definition_error(cap, message):
+    system = CoupledSystem(thermostat(), flip_environment())
+    with pytest.raises(DefinitionError, match=message):
+        adaptation_time(system, ("OFF", "Cold"), cap=cap)
+
+
+def test_adaptation_time_matches_the_label_table_oracle():
+    rng = random.Random(1913)
+    outcomes = []
+    for _ in range(200):
+        obs = random_observer(rng, max_size=10)
+        system = CoupledSystem(obs, random_environment(rng, obs, n_env=rng.randint(1, 10)))
+        env_states = system.environment.states
+        joint = (rng.choice(obs.states), rng.choice(env_states))
+        x, s = rng.choice(obs.states), rng.choice(env_states)
+        for goal in (None, lambda j: j[0] == x, lambda j: j[1] == s):
+            for cap in (None, rng.randint(1, 4), rng.randint(1, 30)):
+                try:
+                    want = adaptation_time_oracle(system, joint, goal=goal, cap=cap)
+                except CapExceededError:
+                    with pytest.raises(CapExceededError):
+                        adaptation_time(system, joint, goal=goal, cap=cap)
+                    outcomes.append("cap")
+                    continue
+                assert adaptation_time(system, joint, goal=goal, cap=cap) == want
+                outcomes.append(want.kind)
+    # every outcome is well represented, tight caps included
+    assert min(outcomes.count(kind) for kind in
+               ("cap", GOAL_REACHED, GOAL_UNREACHABLE, TRANSIENT_TO_CYCLE)) >= 50
 
 
 def test_adaptation_is_isomorphism_invariant():

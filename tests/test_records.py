@@ -175,3 +175,21 @@ def test_values_built_from_lists_equal_and_hash_as_tuples(from_list, from_tuple)
     assert from_list == from_tuple
     assert hash(from_list) == hash(from_tuple)
     assert repr(from_list) == repr(from_tuple)
+
+
+# -- derived attributes ------------------------------------------------------------
+
+def test_environment_state_index_follows_construction_order_and_stays_out_of_equality():
+    env = Environment(states=("s2", "s0", "s1"), actions=("z",),
+                      transition={("s2", "z"): "s0", ("s0", "z"): "s1", ("s1", "z"): "s2"},
+                      observation={"s2": "y", "s0": "y", "s1": "w"})
+    assert list(env.state_index.items()) == [("s2", 0), ("s0", 1), ("s1", 2)]
+    with pytest.raises(TypeError):
+        env.state_index["s3"] = 3
+    with pytest.raises(AttributeError):
+        env.state_index = {}
+    for copied in (pickle.loads(pickle.dumps(env)), copy.deepcopy(env)):
+        assert copied == env and hash(copied) == hash(env)
+        assert list(copied.state_index.items()) == list(env.state_index.items())
+    assert "state_index" not in Environment._fields and "state_index" not in repr(env)
+    assert hash(env) == hash((env.states, env.actions, env.f, env.readings))
