@@ -14,6 +14,7 @@ by the bundled two-observer measurement script.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections.abc import Hashable, Iterable, Mapping
 from itertools import chain
@@ -48,27 +49,29 @@ class WellFoundedReport(_Record):
 
 
 class MetaRegistry:
-    """Mutable record of who observes or modifies whom.
+    """Mutable record of who observes or modifies whom, safe to share between threads.
 
-    Nodes are tracked by identity.  Observers are held weakly: once one is
-    collected, its node and every edge into it are dropped at the next
-    write (``register_edge`` or ``clear``), before its id can be reused.
-    Labels that cannot be weakly referenced (strings, ints, tuples) are held
-    until ``clear``.  Adding an edge that would close a directed cycle
-    raises ``MetaCycleError`` and leaves the graph unchanged.  Writers must
-    be serialized externally; concurrent readers are fine.
+    Nodes are tracked by identity.  Observers are held by weak references whose
+    callbacks only append the dead id to a list and never hold the registry, so a
+    dropped registry leaves nothing behind; ``register_edge`` and ``graph`` first
+    drop collected observers and the edges into them, before an id can be reused.
+    Labels that cannot be weakly referenced (strings, ints, tuples) are held until
+    ``clear``.  An edge that would close a directed cycle raises ``MetaCycleError``
+    and leaves the graph unchanged.  One lock serializes the public methods; the
+    callbacks never take it, as garbage collection can run them under it.
     """
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._watches: dict[int, dict[int, None]] = {}
-        self._held: dict[int, object] = {}  # the label itself, or the observer's finalizer
-        self._dead: list[int] = []  # appended to by finalizers only, drained by writes
+        self._held: dict[int, object] = {}  # the label itself, or a weak reference to the observer
+        self._dead: list[int] = []  # appended to by callbacks only, drained under the lock
 
     def _node(self, node) -> int:
-        key = id(node)
+        key, dead = id(node), self._dead
         if key not in self._watches:
             try:
-                held = weakref.finalize(node, self._dead.append, key)
+                held = weakref.ref(node, lambda _: dead.append(key))  # never holds the registry
             except TypeError:
                 held = node
             self._held[key] = held
@@ -80,8 +83,8 @@ class MetaRegistry:
         while self._dead:
             dead.add(self._dead.pop())
         if dead:
-            for key in dead:
-                del self._watches[key], self._held[key]
+            for key in dead:  # pop: a callback already running when clear() ran appends after it
+                self._watches.pop(key, None), self._held.pop(key, None)
             for targets in self._watches.values():
                 for key in dead.intersection(targets):
                     del targets[key]
@@ -92,35 +95,35 @@ class MetaRegistry:
         The graph is acyclic, so the edge closes a cycle exactly when
         ``watched`` already reaches ``watcher``; only that search runs.
         """
-        self._forget_dead()
-        a, b = id(watcher), id(watched)
-        reached = {b: None}  # node -> the node the search reached it from
-        todo = [b]
-        while todo:
-            node = todo.pop()
-            for nxt in self._watches.get(node, ()):
-                if nxt not in reached:
-                    reached[nxt] = node
-                    todo.append(nxt)
-        if a in reached:
-            path = [a]
-            while path[-1] != b:
-                path.append(reached[path[-1]])
-            raise MetaCycleError(f"edge would close an observation cycle: {tuple(path[::-1])!r}")
-        self._watches[self._node(watcher)][self._node(watched)] = None
+        with self._lock:
+            self._forget_dead()
+            a, b = id(watcher), id(watched)
+            reached = {b: None}  # node -> the node the search reached it from
+            todo = [b]
+            while todo:
+                node = todo.pop()
+                for nxt in self._watches.get(node, ()):
+                    if nxt not in reached:
+                        reached[nxt] = node
+                        todo.append(nxt)
+            if a in reached:
+                path = [a]
+                while path[-1] != b:
+                    path.append(reached[path[-1]])
+                raise MetaCycleError(f"edge would close an observation cycle: {tuple(path[::-1])!r}")
+            self._watches[self._node(watcher)][self._node(watched)] = None
 
     def graph(self) -> dict[int, list[int]]:
-        """A copy of the edges, by node id; it may still list nodes collected
-        since the last write."""
-        return {key: list(targets) for key, targets in self._watches.items()}
+        """A copy of the edges, by node id."""
+        with self._lock:
+            self._forget_dead()
+            return {key: list(targets) for key, targets in self._watches.items()}
 
     def clear(self) -> None:
-        for held in self._held.values():
-            if isinstance(held, weakref.finalize):
-                held.detach()
-        self._dead.clear()
-        self._watches.clear()
-        self._held.clear()
+        with self._lock:
+            self._held.clear()  # first: a weak reference that is gone calls nothing back
+            self._dead.clear()
+            self._watches.clear()
 
 
 _default_registry = MetaRegistry()

@@ -58,6 +58,14 @@ def _integer(value, what: str, least: int | None = None) -> int:
     return number
 
 
+def _locate(index: Mapping, label, what: str):
+    """``index[label]``; an IdentifierError when ``label`` is unknown or unhashable."""
+    try:
+        return index[label]
+    except (KeyError, TypeError):
+        raise IdentifierError(f"unknown {what} {label!r}") from None
+
+
 def check_total(label: str, mapping: Mapping, domain: Collection,
                 codomain: Iterable | None = None, error: type[Exception] = DefinitionError,
                 incomplete: type[Exception] | None = None) -> dict:
@@ -202,18 +210,12 @@ class Observer(_Machine):
 
     def step(self, state: Ident, received: Ident) -> Ident:
         """Next internal state after sensing ``received`` in ``state``."""
-        if state not in self.state_index:
-            raise IdentifierError(f"unknown state {state!r}")
-        if received not in self.input_index:
-            raise IdentifierError(f"unknown input {received!r}")
-        return self.states[self.f[self.state_index[state]][self.input_index[received]]]
+        i = _locate(self.state_index, state, "state")
+        return self.states[self.f[i][_locate(self.input_index, received, "input")]]
 
     def output(self, state: Ident) -> Ident:
         """Action emitted while in ``state``."""
-        try:
-            return self.output_map[state]
-        except KeyError:
-            raise IdentifierError(f"unknown state {state!r}") from None
+        return _locate(self.output_map, state, "state")
 
     def respond(self, start: Ident, word: Iterable[Ident]) -> tuple[Ident, ...]:
         """Open-loop run: feed a word of inputs, collect the emitted actions."""
@@ -255,16 +257,10 @@ class Environment(_Machine):
                      readings=tuple([observation[s] for s in states]), state_index=MappingProxyType(si))
 
     def observe(self, state: Ident) -> Ident:
-        try:
-            return self.observation[state]
-        except KeyError:
-            raise IdentifierError(f"unknown environment state {state!r}") from None
+        return _locate(self.observation, state, "environment state")
 
     def react(self, state: Ident, action: Ident) -> Ident:
-        try:
-            return self.transition[(state, action)]
-        except KeyError:
-            raise IdentifierError(f"unknown environment state or action ({state!r}, {action!r})") from None
+        return _locate(self.transition, (state, action), "environment state or action")
 
 
 class TraceRecord(_Record):

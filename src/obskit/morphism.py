@@ -141,9 +141,13 @@ def find_isomorphism(
     and drops it at the first clash.  The worst case stays exponential.
     """
     if anchors is not None:
-        for obs, x, which in ((a, anchors[0], "first"), (b, anchors[1], "second")):
-            if x not in obs.state_index:
-                raise IdentifierError(f"anchor {x!r} is not a state of the {which} observer")
+        try:
+            first, second = anchors
+            for obs, x, which in ((a, first, "first"), (b, second, "second")):
+                if x not in obs.state_index:
+                    raise IdentifierError(f"anchor {x!r} is not a state of the {which} observer")
+        except (TypeError, ValueError):
+            raise IdentifierError(f"anchors must be a pair of hashable states, got {anchors!r}") from None
 
     nx, ny, nz = len(a.states), len(a.inputs), len(a.outputs)
     if (nx, ny, nz) != (len(b.states), len(b.inputs), len(b.outputs)):
@@ -196,7 +200,7 @@ def find_isomorphism(
                     todo += zip(sa[i], (sb[u][v] for v in route))
             return True
 
-        if anchors is not None and not force([(a.state_index[anchors[0]], b.state_index[anchors[1]])]):
+        if anchors is not None and not force([(a.state_index[first], b.state_index[second])]):
             return None
         i, frames = 0, []  # frames: (state, its untried candidates, trail length before it)
         while True:

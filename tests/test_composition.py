@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import threading
+import weakref
 from itertools import product
 
 import pytest
@@ -307,6 +310,70 @@ def test_edges_into_a_collected_observer_go_at_the_next_write():
     assert all(gone not in targets for targets in graph.values())
     assert len(graph) == 3
     assert sum(len(targets) for targets in graph.values()) == 1
+
+
+def test_dropped_registries_leave_no_weak_references_behind():
+    rng = random.Random(5)
+    identity = {"0": "0", "1": "1"}
+    lower, upper = shared_alphabet_observer(rng), shared_alphabet_observer(rng)
+    for _ in range(200):
+        stack(lower, upper, Wiring(lift=dict(identity)), registry=MetaRegistry())
+    gc.collect()
+    assert weakref.getweakrefcount(lower) == 0
+    assert weakref.getweakrefcount(upper) == 0
+
+
+def test_graph_lists_no_collected_observer_even_before_the_next_write():
+    mine = MetaRegistry()
+    watcher, watched = "watcher", thermostat()
+    gone = id(watched)
+    mine.register_edge(watcher, watched)
+    del watched
+    gc.collect()
+    assert mine.graph() == {id(watcher): []}
+    assert gone not in mine.graph()
+
+
+def test_clear_then_collecting_the_observers_leaves_only_the_next_edge():
+    mine = MetaRegistry()
+    a, b = thermostat(), supervisor()
+    mine.register_edge(a, b)
+    mine.register_edge("label", a)
+    mine.clear()
+    del a, b
+    gc.collect()
+    first, second = "first", "second"
+    mine.register_edge(first, second)
+    assert mine.graph() == {id(first): [id(second)], id(second): []}
+
+
+def test_threads_sharing_one_registry_all_finish_and_keep_it_well_founded():
+    mine = MetaRegistry()
+    identity = {"0": "0", "1": "1"}
+    lower = shared_alphabet_observer(random.Random(6))
+    errors = []
+
+    def work(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for _ in range(1000):
+                stack(lower, shared_alphabet_observer(rng), Wiring(lift=dict(identity)), registry=mine)
+        except Exception as error:  # recorded for the assertion below
+            errors.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert check_well_founded(registry=mine).well_founded
 
 
 def test_register_edge_refuses_exactly_the_edges_that_close_a_cycle():

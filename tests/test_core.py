@@ -174,6 +174,39 @@ def test_unknown_state_is_identifier_error():
         thermostat().output("MAYBE")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: thermostat().step(["OFF"], "Cold"), "unknown state ['OFF']"),
+    (lambda: thermostat().step("OFF", ["Cold"]), "unknown input ['Cold']"),
+    (lambda: thermostat().output(["OFF"]), "unknown state ['OFF']"),
+    (lambda: thermostat().respond("OFF", ["Cold", ["Hot"]]), "unknown input ['Hot']"),
+    (lambda: thermostat().respond({"OFF"}, ["Cold"]), "unknown state {'OFF'}"),
+    (lambda: flip_environment().observe(["Cold"]), "unknown environment state ['Cold']"),
+    (lambda: flip_environment().react(["Cold"], "HeaterOn"),
+     "unknown environment state or action (['Cold'], 'HeaterOn')"),
+    (lambda: flip_environment().react("Cold", {"HeaterOn": 1}),
+     "unknown environment state or action ('Cold', {'HeaterOn': 1})"),
+], ids=["step-state", "step-input", "output", "respond-input", "respond-start", "observe",
+        "react-state", "react-action"])
+def test_an_unhashable_label_is_an_identifier_error_with_the_unknown_label_message(call, message):
+    with pytest.raises(IdentifierError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_unknown_label_messages_are_unchanged():
+    obs, env = thermostat(), flip_environment()
+    for call, message in [
+        (lambda: obs.step("MAYBE", "Warm"), "unknown state 'MAYBE'"),
+        (lambda: obs.step("OFF", "Warm"), "unknown input 'Warm'"),
+        (lambda: obs.output("MAYBE"), "unknown state 'MAYBE'"),
+        (lambda: env.observe("Warm"), "unknown environment state 'Warm'"),
+        (lambda: env.react("Cold", "Fan"), "unknown environment state or action ('Cold', 'Fan')"),
+    ]:
+        with pytest.raises(IdentifierError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 def test_respond_runs_open_loop():
     obs = thermostat()
     assert obs.respond("OFF", ("Cold", "Hot", "Cold")) == ("HeaterOn", "HeaterOff", "HeaterOn")

@@ -121,6 +121,22 @@ def test_unknown_anchor_is_identifier_error():
         find_isomorphism(thermostat(), thermostat(), anchors=("OFF", "NOPE"))
 
 
+@pytest.mark.parametrize("anchors", [(["OFF"], "OFF"), ("OFF", ["OFF"]), ("OFF",), ("OFF", "ON", "OFF"), 5],
+                         ids=["unhashable-first", "unhashable-second", "one-item", "three-items", "int"])
+def test_anchors_that_are_not_a_pair_of_hashable_labels_are_an_identifier_error(anchors):
+    with pytest.raises(IdentifierError, match="anchors must be a pair of hashable states"):
+        find_isomorphism(thermostat(), thermostat(), anchors=anchors)
+
+
+def test_an_unknown_anchor_keeps_its_message():
+    with pytest.raises(IdentifierError) as caught:
+        find_isomorphism(thermostat(), thermostat(), anchors=("GHOST", "OFF"))
+    assert str(caught.value) == "anchor 'GHOST' is not a state of the first observer"
+    with pytest.raises(IdentifierError) as caught:
+        find_isomorphism(thermostat(), thermostat(), anchors=["OFF", "GHOST"])
+    assert str(caught.value) == "anchor 'GHOST' is not a state of the second observer"
+
+
 def test_anchor_selects_the_swap_automorphism():
     # swapping states, inputs, and outputs together commutes with both tables
     swapped = find_isomorphism(thermostat(), thermostat(), anchors=("OFF", "ON"))
