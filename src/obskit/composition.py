@@ -36,8 +36,8 @@ class Wiring(_Record):
     composite emits instead of the lower observer's own.
     """
 
-    lift: dict
-    drop: dict | None = None
+    lift: Mapping
+    drop: Mapping | None = None
 
 
 class WellFoundedReport(_Record):
@@ -54,7 +54,8 @@ class MetaRegistry:
     Nodes are tracked by identity.  Observers are held by weak references whose
     callbacks only append the dead id to a list and never hold the registry, so a
     dropped registry leaves nothing behind; ``register_edge`` and ``graph`` first
-    drop collected observers and the edges into them, before an id can be reused.
+    drop collected observers and their edges, before an id can be reused.  Edges
+    are kept both ways, so that costs only the dead observers' own edges.
     Labels that cannot be weakly referenced (strings, ints, tuples) are held until
     ``clear``.  An edge that would close a directed cycle raises ``MetaCycleError``
     and leaves the graph unchanged.  One lock serializes the public methods; the
@@ -64,6 +65,7 @@ class MetaRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._watches: dict[int, dict[int, None]] = {}
+        self._watchers: dict[int, dict[int, None]] = {}  # the same edges, reversed
         self._held: dict[int, object] = {}  # the label itself, or a weak reference to the observer
         self._dead: list[int] = []  # appended to by callbacks only, drained under the lock
 
@@ -75,19 +77,17 @@ class MetaRegistry:
             except TypeError:
                 held = node
             self._held[key] = held
-            self._watches[key] = {}
+            self._watches[key], self._watchers[key] = {}, {}
         return key
 
     def _forget_dead(self) -> None:
-        dead = set()
         while self._dead:
-            dead.add(self._dead.pop())
-        if dead:
-            for key in dead:  # pop: a callback already running when clear() ran appends after it
-                self._watches.pop(key, None), self._held.pop(key, None)
-            for targets in self._watches.values():
-                for key in dead.intersection(targets):
-                    del targets[key]
+            key = self._dead.pop()
+            self._held.pop(key, None)  # pop: a callback already running when clear() ran appends after it
+            for target in self._watches.pop(key, ()):
+                self._watchers[target].pop(key, None)
+            for watcher in self._watchers.pop(key, ()):
+                self._watches[watcher].pop(key, None)
 
     def register_edge(self, watcher, watched) -> None:
         """Record that ``watcher`` observes/modifies ``watched``; fail closed.
@@ -112,6 +112,7 @@ class MetaRegistry:
                     path.append(reached[path[-1]])
                 raise MetaCycleError(f"edge would close an observation cycle: {tuple(path[::-1])!r}")
             self._watches[self._node(watcher)][self._node(watched)] = None
+            self._watchers[b][a] = None
 
     def graph(self) -> dict[int, list[int]]:
         """A copy of the edges, by node id."""
@@ -123,7 +124,7 @@ class MetaRegistry:
         with self._lock:
             self._held.clear()  # first: a weak reference that is gone calls nothing back
             self._dead.clear()
-            self._watches.clear()
+            self._watches.clear(), self._watchers.clear()
 
 
 _default_registry = MetaRegistry()
@@ -216,8 +217,8 @@ def stack(lower: Observer, upper: Observer, wiring: Wiring,
 class RuleTable(_Record):
     """One (transition, output) table over a fixed state/input/output frame."""
 
-    transition: dict
-    output_map: dict
+    transition: Mapping
+    output_map: Mapping
 
 
 class RuleFamily(_Record):
@@ -228,10 +229,9 @@ class RuleFamily(_Record):
     """
 
     tables: tuple[RuleTable, ...]
-    meta_update: dict
+    meta_update: Mapping
 
     def __post_init__(self) -> None:
-        self._assign(tables=tuple(self.tables), meta_update=dict(self.meta_update))
         if not self.tables:
             raise DefinitionError("rule family must contain at least one table")
 
@@ -288,9 +288,6 @@ class FactLedger(_Record):
     """Append-only record of boundary crossings, per observer."""
 
     entries: tuple[FactEntry, ...] = ()
-
-    def __post_init__(self) -> None:
-        self._assign(entries=tuple(self.entries))
 
     def last_step(self, observer_id: Hashable) -> int | None:
         return next((e.step for e in reversed(self.entries) if e.observer_id == observer_id), None)

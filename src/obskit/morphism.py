@@ -14,36 +14,29 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from itertools import permutations, product
-from types import MappingProxyType
 
-from .core import Ident, Observer, _Machine, _Record, check_total
+from .core import Ident, Observer, _Record, check_total
 from .errors import IdentifierError, MorphismShapeError
 
 
-class ObserverMorphism(_Machine):
+class ObserverMorphism(_Record):
     """A triple of maps from one observer's sets into another's.
 
-    The maps are read-only ``types.MappingProxyType`` views of private
-    copies, so a morphism is an immutable, hashable value that pickles
-    through its constructor.  ``bijective`` is derived: it is true when all
-    three maps are injective, which for maps between equal-size finite sets
-    is the same as being bijections.
+    ``bijective`` is derived: it is true when all three maps are injective,
+    which for maps between equal-size finite sets is the same as being
+    bijections.
     """
 
     state_map: Mapping
     input_map: Mapping
     output_map: Mapping
-    _compare = ("state_map", "input_map", "output_map", "bijective")
 
     def __post_init__(self) -> None:
-        maps = {name: MappingProxyType(dict(getattr(self, name))) for name in self._fields}
-        self._assign(**maps, bijective=all(len(set(m.values())) == len(m) for m in maps.values()))
+        maps = self.state_map, self.input_map, self.output_map
+        self._assign(bijective=all(len(set(m.values())) == len(m) for m in maps))
 
     def __repr__(self) -> str:
         return f"{super().__repr__()[:-1]}, bijective={self.bijective!r})"
-
-    def __hash__(self) -> int:
-        return hash(tuple(frozenset(m.items()) for m in (self.state_map, self.input_map, self.output_map)))
 
     def inverse(self) -> "ObserverMorphism":
         """Componentwise inverse; only defined for bijective morphisms."""
@@ -70,10 +63,6 @@ class MorphismCheck(_Record):
     holds: bool
     transition_failures: tuple[tuple[Ident, Ident], ...]
     output_failures: tuple[Ident, ...]
-
-    def __post_init__(self) -> None:
-        self._assign(transition_failures=tuple(self.transition_failures),
-                     output_failures=tuple(self.output_failures))
 
     def __bool__(self) -> bool:
         return self.holds

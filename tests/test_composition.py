@@ -6,6 +6,7 @@ import gc
 import random
 import sys
 import threading
+import time
 import weakref
 from itertools import product
 
@@ -374,6 +375,33 @@ def test_threads_sharing_one_registry_all_finish_and_keep_it_well_founded():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert check_well_founded(registry=mine).well_founded
+
+
+def best_seconds_per_stack(others: int) -> float:
+    """Best time of one ``stack`` whose composite was dropped, with ``others`` kept observers registered."""
+    rng = random.Random(8)
+    identity = {"0": "0", "1": "1"}
+    mine = MetaRegistry()
+    lower = shared_alphabet_observer(rng)
+    kept = [shared_alphabet_observer(rng) for _ in range(others)]
+    for observer in kept:
+        mine.register_edge(observer, "label")
+    uppers = [shared_alphabet_observer(rng) for _ in range(300)]
+    best = float("inf")
+    gc.disable()  # a full collection walks every kept observer, which is not the cost measured here
+    try:
+        for start in range(0, len(uppers), 60):
+            began = time.perf_counter()
+            for upper in uppers[start:start + 60]:
+                stack(lower, upper, Wiring(lift=dict(identity)), registry=mine)
+            best = min(best, (time.perf_counter() - began) / 60)
+    finally:
+        gc.enable()
+    return best
+
+
+def test_forgetting_a_dropped_composite_does_not_scan_the_other_live_observers():
+    assert best_seconds_per_stack(8000) < 3 * best_seconds_per_stack(0)
 
 
 def test_register_edge_refuses_exactly_the_edges_that_close_a_cycle():

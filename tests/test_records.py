@@ -23,6 +23,8 @@ from obskit.composition import (
     WellFoundedReport,
     Wiring,
     record_fact,
+    second_order_wrap,
+    stack,
 )
 from obskit.core import (
     CoupledSystem,
@@ -32,6 +34,8 @@ from obskit.core import (
     Trace,
     TraceRecord,
 )
+from obskit.errors import DefinitionError
+from obskit.machines import thermostat
 from obskit.metrics import AdaptationResult, ComplexityReport
 from obskit.morphism import BehavioralPartition, MorphismCheck, ObserverMorphism
 
@@ -193,3 +197,81 @@ def test_environment_state_index_follows_construction_order_and_stays_out_of_equ
         assert list(copied.state_index.items()) == list(env.state_index.items())
     assert "state_index" not in Environment._fields and "state_index" not in repr(env)
     assert hash(env) == hash((env.states, env.actions, env.f, env.readings))
+
+
+# -- mapping fields are read-only views of private copies -----------------------
+
+def wiring_from_dicts():
+    lift, drop = {"z": "y"}, {"w": "z"}
+    return Wiring(lift, drop), [lift, drop]
+
+
+def rule_table_from_dicts():
+    transition, output_map = {("a", "y"): "a"}, {"a": "z"}
+    return RuleTable(transition, output_map), [transition, output_map]
+
+
+def rule_family_from_dicts():
+    table, passed = rule_table_from_dicts()
+    meta_update = {(0, "a", "y"): 0}
+    return RuleFamily([table], meta_update), [*passed, meta_update]
+
+
+# (builder returning the record and every dict it was built from, its mapping fields)
+FROM_DICTS = [
+    (wiring_from_dicts, ("lift", "drop")),
+    (rule_table_from_dicts, ("transition", "output_map")),
+    (rule_family_from_dicts, ("meta_update",)),
+]
+FROM_DICTS_IDS = ["Wiring", "RuleTable", "RuleFamily"]
+
+
+@pytest.mark.parametrize("from_dicts, mappings", FROM_DICTS, ids=FROM_DICTS_IDS)
+def test_records_built_from_equal_dicts_hash_equal(from_dicts, mappings):
+    (a, _), (b, _) = from_dicts(), from_dicts()
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("from_dicts, mappings", FROM_DICTS, ids=FROM_DICTS_IDS)
+def test_mapping_fields_refuse_item_assignment(from_dicts, mappings):
+    value, _ = from_dicts()
+    for name in mappings:
+        with pytest.raises(TypeError):
+            getattr(value, name)["new"] = "entry"
+    assert value == from_dicts()[0]
+
+
+@pytest.mark.parametrize("from_dicts, mappings", FROM_DICTS, ids=FROM_DICTS_IDS)
+def test_mutating_the_dicts_passed_in_leaves_the_record_unchanged(from_dicts, mappings):
+    value, passed = from_dicts()
+    for table in passed:
+        table.clear()
+        table["new"] = "entry"
+    assert value == from_dicts()[0]
+
+
+@pytest.mark.parametrize("from_dicts, mappings", FROM_DICTS, ids=FROM_DICTS_IDS)
+def test_records_with_mapping_fields_survive_pickle_and_deepcopy_with_their_hash(from_dicts, mappings):
+    value, _ = from_dicts()
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and hash(copied) == hash(value)
+
+
+# -- a container field that cannot be stored is a DefinitionError -----------------
+
+@pytest.mark.parametrize("call", [
+    lambda: Observer(("a",), ("y",), ("z",), 5, {"a": "z"}),
+    lambda: ObserverMorphism(5, {}, {}),
+    lambda: Trace(5),
+    lambda: FactLedger(5),
+    lambda: MorphismCheck(True, 5, ()),
+    lambda: RuleFamily(5, {}),
+    lambda: stack(thermostat(), thermostat(), Wiring(lift=3)),
+    lambda: stack(thermostat(), thermostat(), Wiring(lift=None)),  # lift may not be None
+    lambda: second_order_wrap(("a",), ("y",), ("z",),
+                              RuleFamily((RuleTable(5, {"a": "z"}),), {(0, "a", "y"): 0})),
+], ids=["Observer", "ObserverMorphism", "Trace", "FactLedger", "MorphismCheck", "RuleFamily",
+        "Wiring-int", "Wiring-None", "RuleTable"])
+def test_a_container_field_of_the_wrong_kind_is_a_definition_error(call):
+    with pytest.raises(DefinitionError):
+        call()
