@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 
 from .core import CoupledSystem, JointState, Observer, _integer, _Record
 from .errors import CapExceededError, DefinitionError, IdentifierError, NumericalError
-from .morphism import minimize
+from .morphism import _quotient
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -39,15 +39,10 @@ def complexity(obs: Observer) -> ComplexityReport:
     machine gives the complexity ln of the reduced product; redundancy is
     the difference.  Relabeled observers get bit-identical reports.
     """
-    reduced, _, _ = minimize(obs)
+    sizes = tuple(map(len, _quotient(obs)[1:]))
     raw = math.log(len(obs.states) * len(obs.inputs) * len(obs.outputs))
-    kept = math.log(len(reduced.states) * len(reduced.inputs) * len(reduced.outputs))
-    return ComplexityReport(
-        raw_log=raw,
-        redundancy=raw - kept,
-        complexity=kept,
-        reduced_sizes=(len(reduced.states), len(reduced.inputs), len(reduced.outputs)),
-    )
+    kept = math.log(math.prod(sizes))
+    return ComplexityReport(raw_log=raw, redundancy=raw - kept, complexity=kept, reduced_sizes=sizes)
 
 
 class AdaptationResult(_Record):
@@ -138,7 +133,8 @@ def expected_hitting_time(
     if bad.size:
         raise DefinitionError(f"row {int(bad[0])} does not sum to 1")
 
-    goal_set = set(int(i) for i in goal)
+    start = _integer(start, "start index")
+    goal_set = {_integer(i, "goal index") for i in goal}
     if not goal_set:
         raise DefinitionError("goal set must not be empty")
     if not all(0 <= i < n for i in goal_set) or not 0 <= start < n:

@@ -5,7 +5,10 @@ transition and output diagrams commute.  Bijective morphisms witness that
 two observers differ only by relabeling, and that relation is an
 equivalence.  This module checks morphisms, searches for isomorphisms,
 partitions observer collections into equivalence classes, and computes the
-behavioral quotient that drives the redundancy metric.
+behavioral quotient that drives the redundancy metric.  The quotient is
+computed once, on the int tables (``_quotient``); ``minimize`` names it with
+labels, and callers that need only its sizes (``complexity``,
+``canonical_invariants``) read them there, building no machine.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import Counter
 from collections.abc import Mapping
 from itertools import permutations, product
 
-from .core import Ident, Observer, _Record, check_total
+from .core import Ident, Observer, _of_type, _Record, check_total
 from .errors import IdentifierError, MorphismShapeError
 
 
@@ -50,6 +53,7 @@ class ObserverMorphism(_Record):
 
 
 def identity_morphism(obs: Observer) -> ObserverMorphism:
+    _of_type(obs, Observer, "expected an Observer")
     return ObserverMorphism(
         state_map={x: x for x in obs.states},
         input_map={y: y for y in obs.inputs},
@@ -75,6 +79,8 @@ def check_homomorphism(src: Observer, dst: Observer, morphism: ObserverMorphism)
     stepping-then-mapping for every (state, input) pair; the output
     condition requires the mapped state to emit the mapped action.
     """
+    for value, cls in ((src, Observer), (dst, Observer), (morphism, ObserverMorphism)):
+        _of_type(value, cls, f"expected an {cls.__name__}")
     check_total("state map", morphism.state_map, src.states, dst.states, MorphismShapeError)
     check_total("input map", morphism.input_map, src.inputs, dst.inputs, MorphismShapeError)
     check_total("output map", morphism.output_map, src.outputs, dst.outputs, MorphismShapeError)
@@ -129,6 +135,8 @@ def find_isomorphism(
     a depth-first search on an explicit stack that propagates each choice
     and drops it at the first clash.  The worst case stays exponential.
     """
+    for obs in (a, b):
+        _of_type(obs, Observer, "expected an Observer")
     if anchors is not None:
         try:
             first, second = anchors
@@ -265,13 +273,13 @@ def canonical_invariants(obs: Observer) -> tuple:
     Equal vectors are necessary (not sufficient) for equivalence, which
     makes this a sound prefilter: differing vectors prove non-equivalence.
     """
-    reduced, _, _ = minimize(obs)
+    reduced_sizes = tuple(map(len, _quotient(obs)[1:]))
     indegree = Counter(t for row in obs.f for t in row)
     return (
         len(obs.states),
         len(obs.inputs),
         len(obs.outputs),
-        (len(reduced.states), len(reduced.inputs), len(reduced.outputs)),
+        reduced_sizes,
         tuple(sorted(Counter(obs.g).values())),
         tuple(sorted(indegree[i] for i in range(len(obs.states)))),
     )
@@ -296,6 +304,23 @@ class BehavioralPartition(_Record):
         raise IdentifierError(f"unknown state {state!r}")
 
 
+def _quotient(obs: Observer) -> tuple[list[int], list[list[int]], list[list[int]], set[int]]:
+    """The behavioral quotient of ``obs``, on its int tables.
+
+    Returns each state's block; the states of every block and the inputs of
+    every input group (inputs that step each state into the same block),
+    both numbered in order of their first member; and the emitted outputs.
+    The reduced sizes are the lengths of the last three.
+    """
+    columns = list(zip(*_of_type(obs, Observer, "expected an Observer").f))
+    # a state's key: its color, then its successors' colors, one input after another
+    colors = _refine(list(obs.g), lambda c: list(zip(c, *(map(c.__getitem__, column) for column in columns))))
+    first: dict[int, int] = {}  # color -> its block's number
+    block = [first.setdefault(c, len(first)) for c in colors]
+    groups = _positions(tuple(map(block.__getitem__, column)) for column in columns)
+    return block, list(_positions(block).values()), list(groups.values()), set(obs.g)
+
+
 def minimize(obs: Observer) -> tuple[Observer, BehavioralPartition, ObserverMorphism]:
     """Quotient an observer by behavioral redundancy.
 
@@ -310,38 +335,22 @@ def minimize(obs: Observer) -> tuple[Observer, BehavioralPartition, ObserverMorp
     were never emitted have no constraint from the commutation conditions;
     the quotient morphism sends them to the first surviving output.
     """
-    f, g = obs.f, obs.g
-    states, inputs, outputs = obs.states, obs.inputs, obs.outputs
-    block = _refine(list(g), lambda b: [(b[i], tuple(b[t] for t in row)) for i, row in enumerate(f)])
-
-    blocks = _positions(block)  # in order of their first member
-    ordered_blocks = list(blocks.values())
-    rep = [blocks[c][0] for c in block]
-
-    input_groups = _positions(tuple(block[t] for t in column) for column in zip(*f))
-
-    kept_states = [members[0] for members in ordered_blocks]
-    kept_inputs = [members[0] for members in input_groups.values()]
-    emitted = set(g)
-    new_outputs = tuple(z for k, z in enumerate(outputs) if k in emitted)
+    block, blocks, groups, emitted = _quotient(obs)
+    f, g, states, inputs, outputs = obs.f, obs.g, obs.states, obs.inputs, obs.outputs
+    name = [states[blocks[b][0]] for b in block]  # each state's block, by its first member
+    kept_states, kept_inputs = [members[0] for members in blocks], [members[0] for members in groups]
     quotient = Observer(
         states=tuple(states[i] for i in kept_states),
         inputs=tuple(inputs[j] for j in kept_inputs),
-        outputs=new_outputs,
-        transition={
-            (states[i], inputs[j]): states[rep[f[i][j]]] for i in kept_states for j in kept_inputs
-        },
+        outputs=tuple(outputs[k] for k in sorted(emitted)),
+        transition={(states[i], inputs[j]): name[f[i][j]] for i in kept_states for j in kept_inputs},
         output_map={states[i]: outputs[g[i]] for i in kept_states},
         boundary=obs.boundary,
     )
-
-    partition = BehavioralPartition(tuple(tuple(states[i] for i in members) for members in ordered_blocks))
-    fallback = new_outputs[0]
     quotient_map = ObserverMorphism(
-        state_map={states[i]: states[members[0]] for members in ordered_blocks for i in members},
-        input_map={
-            inputs[j]: inputs[members[0]] for members in input_groups.values() for j in members
-        },
-        output_map={z: (z if k in emitted else fallback) for k, z in enumerate(outputs)},
+        state_map={states[i]: name[i] for members in blocks for i in members},
+        input_map={inputs[j]: inputs[members[0]] for members in groups for j in members},
+        output_map={z: (z if k in emitted else quotient.outputs[0]) for k, z in enumerate(outputs)},
     )
+    partition = BehavioralPartition(tuple(tuple(states[i] for i in members) for members in blocks))
     return quotient, partition, quotient_map

@@ -156,6 +156,33 @@ def morphism_vectors(a: Observer, b: Observer, morphism):
     return px, py, pz
 
 
+# -- behavioral-partition oracle ------------------------------------------------------
+
+def behavioral_partition_oracle(obs: Observer) -> tuple[tuple, ...]:
+    """Moore's pair table (1956), on the label tables: mark each pair of states
+    with different outputs, then, until a pass marks nothing, each pair that
+    some input steps into a marked pair.  Unmarked pairs are behaviorally equal.
+    Blocks come in order of their first state, members in construction order."""
+    states, step, out = obs.states, obs.transition, obs.output_map
+    marked = {(p, q) for p in states for q in states if out[p] != out[q]}
+    changed = True
+    while changed:
+        changed = False
+        for p in states:
+            for q in states:
+                if (p, q) not in marked and any((step[(p, y)], step[(q, y)]) in marked for y in obs.inputs):
+                    marked.add((p, q))
+                    changed = True
+    blocks: list[list] = []
+    for p in states:
+        block = next((b for b in blocks if (b[0], p) not in marked), None)
+        if block is None:
+            blocks.append([p])
+        else:
+            block.append(p)
+    return tuple(map(tuple, blocks))
+
+
 # -- cycle-detection oracle ------------------------------------------------------
 
 def cycle_oracle(graph: dict) -> bool:

@@ -305,6 +305,15 @@ def test_out_of_range_indices_rejected():
         expected_hitting_time([[1.0]], start=3, goal=[0])
 
 
+@pytest.mark.parametrize("start, goal", [
+    (0, [1.2]), (0, ["2"]), (0, [None]), (0.5, [2]), ("1", [2]), (None, [2]),
+], ids=["float-goal", "str-goal", "none-goal", "float-start", "str-start", "none-start"])
+def test_a_start_or_goal_that_is_not_an_integer_is_a_definition_error(start, goal):
+    # int() used to cut the goal 1.2 down to 1 and answer 2.0, the time to reach state 1
+    with pytest.raises(DefinitionError):
+        expected_hitting_time([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]], start, goal)
+
+
 def test_closed_non_goal_component_is_numerical_error():
     # start can reach the goal, but state 1 is absorbing and non-goal
     matrix = [

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obskit.core import Observer
-from obskit.errors import IdentifierError, MorphismShapeError
+from obskit.errors import DefinitionError, IdentifierError, MorphismShapeError
 from obskit.machines import redundant_observer, thermostat
+from obskit.metrics import complexity
 from obskit.morphism import (
     ObserverMorphism,
     canonical_invariants,
@@ -24,6 +25,7 @@ from obskit.morphism import (
 )
 
 from conftest import (
+    behavioral_partition_oracle,
     brute_force_isomorphism,
     duplicated_inputs_observer,
     morphism_vectors,
@@ -404,6 +406,70 @@ def test_unused_outputs_are_dropped():
     assert reduced.outputs == ("used",)
     assert quotient.output_map == {"used": "used", "never": "used"}
     assert check_homomorphism(obs, reduced, quotient).holds
+
+
+def _oracle_sizes(obs: Observer, blocks: tuple[tuple, ...]) -> tuple[int, int, int]:
+    """Reduced sizes read off the oracle's blocks: one input per distinct column of blocks."""
+    block_of = {x: n for n, block in enumerate(blocks) for x in block}
+    columns = {tuple(block_of[obs.transition[(x, y)]] for x in obs.states) for y in obs.inputs}
+    return len(blocks), len(columns), len(set(obs.output_map.values()))
+
+
+def _chain_observer(n: int, outputs: list[str], closed: bool) -> Observer:
+    """One input stepping along n states, the last back to the first (a cycle) or to itself (a path)."""
+    states = tuple(f"x{i}" for i in range(n))
+    step = {(x, "y"): states[i + 1] if i + 1 < n else states[0 if closed else i] for i, x in enumerate(states)}
+    return Observer(states, ("y",), tuple(dict.fromkeys(outputs)), step, dict(zip(states, outputs)))
+
+
+def _adversarial_observers():
+    for n in range(1, 13):
+        yield _chain_observer(n, ["z0"] * (n - 1) + ["z1"], closed=False)  # only the last state differs
+        yield _chain_observer(n, ["z0"] * n, closed=False)
+        for period in (1, 2, 3, 4):
+            yield _chain_observer(n, [f"z{i % period}" for i in range(n)], closed=True)
+    rng = random.Random(16)
+    for _ in range(40):
+        nz = rng.randint(1, 4)
+        yield duplicated_inputs_observer(rng, rng.randint(nz, 8), rng.randint(1, 3), rng.randint(1, 3), nz)
+
+
+def _oracle_corpus():
+    rng = random.Random(1956)
+    for _ in range(600):
+        yield random_observer(rng, sizes=(rng.randint(1, 8), rng.randint(1, 3), rng.randint(1, 3)))
+    yield from _adversarial_observers()
+
+
+def test_minimize_complexity_and_invariants_match_the_moore_oracle():
+    checked = 0
+    for obs in _oracle_corpus():
+        blocks = behavioral_partition_oracle(obs)
+        sizes = _oracle_sizes(obs, blocks)
+        reduced, partition, _ = minimize(obs)
+        assert partition.classes == blocks, obs
+        assert (len(reduced.states), len(reduced.inputs), len(reduced.outputs)) == sizes, obs
+        assert complexity(obs).reduced_sizes == sizes, obs
+        assert canonical_invariants(obs)[3] == sizes, obs
+        checked += len(blocks) < len(obs.states)
+    assert checked > 200  # most machines do merge states
+
+
+@pytest.mark.parametrize("call", [
+    lambda: minimize(None),
+    lambda: complexity("x"),
+    lambda: canonical_invariants(5),
+    lambda: equivalence_partition([thermostat(), 3]),
+    lambda: find_isomorphism(thermostat(), "b"),
+    lambda: find_isomorphism(None, thermostat(), anchors=("OFF", "OFF")),
+    lambda: check_homomorphism(thermostat(), thermostat(), None),
+    lambda: check_homomorphism("a", thermostat(), identity_morphism(thermostat())),
+    lambda: identity_morphism(None),
+], ids=["minimize", "complexity", "canonical_invariants", "equivalence_partition", "find_isomorphism",
+        "find_isomorphism_anchored", "check_homomorphism_morphism", "check_homomorphism_source", "identity_morphism"])
+def test_a_non_observer_argument_is_a_definition_error(call):
+    with pytest.raises(DefinitionError):
+        call()
 
 
 @settings(max_examples=30, deadline=None)
