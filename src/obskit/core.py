@@ -12,10 +12,11 @@ and ``CoupledSystem.run`` records that loop as a ``Trace``.
 All values are immutable after construction, so shared instances may be
 used freely from multiple threads, hashed, and pickled: every value type
 in the package is a ``_Record``, which stores a mapping field as a
-read-only ``types.MappingProxyType`` view of a private copy.  Each machine
-checks its label tables once (``check_total``) and keeps them also as
-integer tables over construction-order indices (``f``, ``g``), on which
-alone the closed loop runs, joined by two index maps the coupled system
+read-only ``types.MappingProxyType`` view of a private copy.  ``Observer``
+and ``Environment`` check their sets and label transition in one routine,
+``_machine`` (over ``check_total``), which also cuts the transition into int
+rows ``f`` over construction-order indices.  The closed loop runs on those
+and ``Observer.g`` alone, joined by two index maps the coupled system
 derives once; labels are looked up only for what a caller gets back.
 """
 
@@ -56,6 +57,15 @@ def _integer(value, what: str, least: int | None = None) -> int:
     if least is not None and number < least:
         raise DefinitionError(f"{what} must be {f'at least {least}' if least else 'non-negative'}")
     return number
+
+
+def _items(value, what: str) -> tuple:
+    """The items of ``value``; a DefinitionError when it is not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise DefinitionError(f"{what} must be iterable, got {value!r}") from None
+    return tuple(items)
 
 
 def _locate(index: Mapping, label, what: str):
@@ -100,9 +110,16 @@ def _index(items: tuple[Ident, ...]) -> dict[Ident, int]:
     return {item: i for i, item in enumerate(items)}
 
 
-def _rows(codes: list[int], width: int) -> tuple[tuple[int, ...], ...]:
-    """``codes`` cut into consecutive rows of ``width``."""
-    return tuple(zip(*[iter(codes)] * width))
+def _machine(label: str, transition: Mapping, *sets: tuple[str, Iterable]) -> tuple[dict, tuple]:
+    """The state index and int rows of ``transition``, called ``label``, once it and ``sets`` pass.
+
+    ``sets`` are (name, items) pairs, each checked non-empty and duplicate-free in turn: the
+    states, the symbols read, then any other.  Row i holds state i's successors' indices.
+    """
+    states, symbols = [_ordered_unique(name, items) for name, items in sets][:2]
+    keys = [(x, y) for x in states for y in symbols]
+    table, index = check_total(label, transition, keys, states), _index(states)
+    return index, tuple(zip(*[iter([index[table[k]] for k in keys])] * len(symbols)))
 
 
 _set = object.__setattr__
@@ -111,14 +128,15 @@ _set = object.__setattr__
 class _Record:
     """An immutable value whose fields are its class's annotated attributes, in order.
 
-    A field's default is its class attribute.  The constructor binds fields by
-    position or keyword and stores each as its annotation says: ``Mapping…`` as
-    a read-only ``types.MappingProxyType`` over a private dict copy, ``tuple…``
-    as a tuple, and ``None`` only under ``| None``; what it cannot store so is
-    a DefinitionError.  ``__post_init__``, if any, then sets derived attributes
-    with ``_assign``, which stores dicts as read-only views too.  ``==`` and
-    ``hash`` use ``_compare`` (the fields by default; a view hashes by its
-    items), ``repr`` shows the fields, and pickling calls the constructor.
+    A field's default is its class attribute.  The one ``__init__`` of every
+    record binds fields by position or keyword and stores each as its
+    annotation says: ``Mapping…`` as a read-only ``types.MappingProxyType``
+    over a private dict copy, ``tuple…`` as a tuple, and ``None`` only under
+    ``| None``; what it cannot store so is a DefinitionError.  Then
+    ``__post_init__``, if any, sets derived attributes with ``_assign``, which
+    stores dicts as read-only views too.  ``==`` and ``hash`` use ``_compare``
+    (the fields by default; a view hashes by its items), ``repr`` shows the
+    fields, and pickling calls the constructor.
     """
 
     _fields: tuple[str, ...] = ()
@@ -132,8 +150,6 @@ class _Record:
             if (kind := note.partition("[")[0].partition(" ")[0]) in cls._stores:
                 cls._frozen += ((i, name, kind, note.endswith("| None")),)
         cls._fields += tuple(own)
-        if cls._frozen:  # records without one, like the TraceRecord built on every loop step, skip this
-            cls.__init__ = _Record._init_frozen
         names = getattr(cls, "_compare", cls._fields)
         key = operator.attrgetter(*names) if len(names) > 1 else lambda r: tuple(getattr(r, n) for n in names)
         cls._key = staticmethod(key)
@@ -145,6 +161,12 @@ class _Record:
         # one at a time: filling __dict__ makes CPython 3.11 read every attribute slowly
         for field, value in zip(fields, args):
             _set(self, field, value)
+        for i, field, kind, optional in self._frozen:  # container fields: reset to what their annotations say
+            try:
+                _set(self, field, None if args[i] is None and optional else self._stores[kind](args[i]))
+            except (TypeError, ValueError):
+                raise DefinitionError(f"{type(self).__qualname__}.{field} cannot be stored as a {kind}: "
+                                      f"{args[i]!r}") from None
         if self.__post_init__:
             self.__post_init__()
 
@@ -158,15 +180,7 @@ class _Record:
             values.append(kwargs.pop(field) if field in kwargs else getattr(cls, field))
         if kwargs or len(args) > len(fields):
             raise TypeError(f"{name}() takes {', '.join(fields)}; got surplus, repeated or unknown arguments")
-        for i, field, kind, optional in cls._frozen:  # each stored as its annotation says
-            try:
-                values[i] = None if values[i] is None and optional else cls._stores[kind](values[i])
-            except (TypeError, ValueError):
-                raise DefinitionError(f"{name}.{field} cannot be stored as a {kind}: {values[i]!r}") from None
         return values
-
-    def _init_frozen(self, *args, **kwargs) -> None:  # __init__ of a record with container fields
-        _Record.__init__(self, *self._bind(args, kwargs))
 
     def _assign(self, **values) -> None:  # for __post_init__ only
         for name, value in values.items():
@@ -216,15 +230,11 @@ class Observer(_Record):
     _compare = ("states", "inputs", "outputs", "boundary", "f", "g")
 
     def __post_init__(self) -> None:
-        states = _ordered_unique("states", self.states)
-        inputs = _ordered_unique("inputs", self.inputs)
-        outputs = _ordered_unique("outputs", self.outputs)
-        keys = [(x, y) for x in states for y in inputs]
-        transition = check_total("transition", self.transition, keys, states)
-        output_map = check_total("output_map", self.output_map, states, outputs)
-        si, zi = _index(states), _index(outputs)
-        self._assign(f=_rows([si[transition[k]] for k in keys], len(inputs)),
-                     g=tuple([zi[output_map[x]] for x in states]), state_index=si, input_index=_index(inputs))
+        si, f = _machine("transition", self.transition, ("states", self.states), ("inputs", self.inputs),
+                         ("outputs", self.outputs))
+        output_map, zi = check_total("output_map", self.output_map, self.states, self.outputs), _index(self.outputs)
+        self._assign(f=f, g=tuple([zi[output_map[x]] for x in self.states]), state_index=si,
+                     input_index=_index(self.inputs))
 
     def step(self, state: Ident, received: Ident) -> Ident:
         """Next internal state after sensing ``received`` in ``state``."""
@@ -263,14 +273,10 @@ class Environment(_Record):
     _compare = ("states", "actions", "f", "readings")
 
     def __post_init__(self) -> None:
-        states = _ordered_unique("environment states", self.states)
-        actions = _ordered_unique("actions", self.actions)
-        keys = [(s, a) for s in states for a in actions]
-        transition = check_total("environment transition", self.transition, keys, states)
-        observation = check_total("observation map", self.observation, states)
-        si = _index(states)
-        self._assign(f=_rows([si[transition[k]] for k in keys], len(actions)),
-                     readings=tuple([observation[s] for s in states]), state_index=si)
+        si, f = _machine("environment transition", self.transition, ("environment states", self.states),
+                         ("actions", self.actions))
+        observation = check_total("observation map", self.observation, self.states)
+        self._assign(f=f, readings=tuple([observation[s] for s in self.states]), state_index=si)
 
     def observe(self, state: Ident) -> Ident:
         return _locate(self.observation, state, "environment state")
@@ -379,7 +385,7 @@ class CoupledSystem(_Record):
     def reachable_joints(self, starts: Iterable[JointState]) -> tuple[JointState, ...]:
         """Joint states visited by the loop from each start, starts included."""
         seen: dict[tuple[int, int], None] = {}
-        for start in starts:
+        for start in _items(starts, "starts"):
             # each earlier walk ran to a cycle, so all a seen joint leads to is seen
             for joint in self._walk(start):
                 if joint in seen:

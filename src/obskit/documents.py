@@ -3,8 +3,11 @@
 Documents are UTF-8 JSON.  Identifier arrays keep their order, which is
 the construction order of the machine.  Table keys join two identifiers
 with a comma, so identifiers themselves must be comma-free, non-empty
-strings.  Serialization is canonical: object keys sorted, two-space
-indent, trailing newline, making equal machines byte-identical on disk.
+strings.  Both parsers read through one routine, ``_read``, which checks
+the encoding, root object and ``format_version`` and reads the three
+arrays and two tables both machine kinds have.  Serialization is canonical:
+object keys sorted, two-space indent, trailing newline, making equal
+machines byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -20,27 +23,6 @@ from .errors import (
 )
 
 FORMAT_VERSION = "1"
-
-
-def _load_json(text: str | bytes) -> dict:
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentParseError(f"document is not UTF-8: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    if not isinstance(doc, dict):
-        raise DocumentError("document root must be a JSON object")
-    return doc
-
-
-def _check_version(doc: dict) -> None:
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise DocumentError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION!r}")
 
 
 def _identifier_array(doc: dict, name: str) -> tuple[str, ...]:
@@ -77,45 +59,47 @@ def _table(doc: dict, name: str, domain: list, targets: tuple[str, ...],
                        DocumentReferenceError, DocumentCompletenessError)
 
 
+def _read(text: str | bytes, arrays: tuple[str, str, str], tables: tuple[str, str]) -> tuple:
+    """Load a document and read the parts both machine kinds share, in this order.
+
+    ``arrays`` name the states, the symbols read and the values emitted;
+    ``tables`` name the transition, keyed "state,symbol" (the first two array
+    names in the singular), and the per-state map.  Returns the document, the
+    three arrays and the two tables.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentParseError(f"document is not UTF-8: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    if not isinstance(doc, dict):
+        raise DocumentError("document root must be a JSON object")
+    if (version := doc.get("format_version")) != FORMAT_VERSION:
+        raise DocumentError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION!r}")
+    states, symbols, emitted = [_identifier_array(doc, name) for name in arrays]
+    pairs, key_form = [(x, y) for x in states for y in symbols], ",".join(name[:-1] for name in arrays[:2])
+    return (doc, states, symbols, emitted, _table(doc, tables[0], pairs, states, key_form),
+            _table(doc, tables[1], list(states), emitted))
+
+
 def parse_observer(text: str | bytes) -> Observer:
     """Parse and fully validate an observer document."""
-    doc = _load_json(text)
-    _check_version(doc)
-    states = _identifier_array(doc, "states")
-    inputs = _identifier_array(doc, "inputs")
-    outputs = _identifier_array(doc, "outputs")
-    pairs = [(x, y) for x in states for y in inputs]
-    transition = _table(doc, "transitions", pairs, states, "state,input")
-    output_map = _table(doc, "output_map", list(states), outputs)
+    doc, *parts = _read(text, ("states", "inputs", "outputs"), ("transitions", "output_map"))
     boundary = doc.get("boundary", "")
     if not isinstance(boundary, str):
         raise DocumentError("'boundary' must be a string")
-    return Observer(
-        states=states,
-        inputs=inputs,
-        outputs=outputs,
-        transition=transition,
-        output_map=output_map,
-        boundary=boundary,
-    )
+    return Observer(*parts, boundary)
 
 
 def parse_environment(text: str | bytes) -> Environment:
     """Parse and fully validate an environment document."""
-    doc = _load_json(text)
-    _check_version(doc)
-    env_states = _identifier_array(doc, "env_states")
-    actions = _identifier_array(doc, "actions")
-    observations = _identifier_array(doc, "observations")
-    pairs = [(s, a) for s in env_states for a in actions]
-    transition = _table(doc, "env_transitions", pairs, env_states, "env_state,action")
-    observation = _table(doc, "observation", list(env_states), observations)
-    return Environment(
-        states=env_states,
-        actions=actions,
-        transition=transition,
-        observation=observation,
-    )
+    _, states, actions, _, transition, observation = _read(
+        text, ("env_states", "actions", "observations"), ("env_transitions", "observation"))
+    return Environment(states, actions, transition, observation)
 
 
 def _require_document_ids(label: str, items) -> None:

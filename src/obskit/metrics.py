@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from .core import CoupledSystem, JointState, Observer, _integer, _Record
+from .core import CoupledSystem, JointState, Observer, _integer, _items, _Record
 from .errors import CapExceededError, DefinitionError, IdentifierError, NumericalError
 from .morphism import _quotient
 
@@ -134,7 +134,7 @@ def expected_hitting_time(
         raise DefinitionError(f"row {int(bad[0])} does not sum to 1")
 
     start = _integer(start, "start index")
-    goal_set = {_integer(i, "goal index") for i in goal}
+    goal_set = {_integer(i, "goal index") for i in _items(goal, "goal")}
     if not goal_set:
         raise DefinitionError("goal set must not be empty")
     if not all(0 <= i < n for i in goal_set) or not 0 <= start < n:

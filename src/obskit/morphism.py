@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Mapping
 from itertools import permutations, product
 
-from .core import Ident, Observer, _of_type, _Record, check_total
+from .core import Ident, Observer, _items, _of_type, _Record, check_total
 from .errors import IdentifierError, MorphismShapeError
 
 
@@ -119,6 +119,28 @@ def _positions(keys) -> dict:
     return out
 
 
+def _indegrees(f) -> list[int]:
+    """How many (state, input) pairs step into each state of the int table ``f``."""
+    count = Counter(t for row in f for t in row)
+    return [count[i] for i in range(len(f))]
+
+
+def _seed(f) -> list[tuple[int, int, int]]:
+    """Each state's first color: 0, the size of its weakly connected component in ``f``, its in-degree."""
+    root = list(range(len(f)))  # a union-find forest
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]  # path halving: i's parent and then i become its grandparent
+        return i
+
+    for i, row in enumerate(f):
+        for t in row:
+            root[find(t)] = find(i)
+    size = Counter(map(find, range(len(f))))
+    return [(0, size[find(i)], d) for i, d in enumerate(_indegrees(f))]
+
+
 def find_isomorphism(
     a: Observer,
     b: Observer,
@@ -129,8 +151,9 @@ def find_isomorphism(
     Returns the lexicographically least isomorphism under the sets'
     construction order (states first, then inputs, then outputs), or None.
     With ``anchors`` given, the state map is pinned to send the first
-    anchor to the second.  Each input map the joint color refinement allows
-    is tried, inputs with equal columns mapping as one class.  One state's
+    anchor to the second.  The joint color refinement starts each state
+    from its component's size and in-degree; each input map it allows is
+    tried, inputs with equal columns mapping as one class.  One state's
     image forces its successors' images, so the least state map comes from
     a depth-first search on an explicit stack that propagates each choice
     and drops it at the first clash.  The worst case stays exponential.
@@ -167,7 +190,7 @@ def find_isomorphism(
                     for k in range(nz)]
         return out
 
-    colors = _refine(([0] * nx + [1] * ny + [2] * nz) * 2, keys)
+    colors = _refine([c for f in (fa, fb) for c in _seed(f) + [(1,)] * ny + [(2,)] * nz], keys)
     if sorted(colors[:n]) != sorted(colors[n:]):
         return None
     # nodes: the states, then the outputs, each state stepping to its output on one extra input
@@ -256,6 +279,7 @@ def equivalence_partition(observers: list[Observer]) -> list[list[int]]:
     is equivalent to; observers with different vectors are never compared.
     """
     by_invariant: dict[tuple, list[list[int]]] = {}
+    observers = _items(observers, "observers")
     for i, obs in enumerate(observers):
         classes = by_invariant.setdefault(canonical_invariants(obs), [])
         for group in classes:
@@ -274,14 +298,13 @@ def canonical_invariants(obs: Observer) -> tuple:
     makes this a sound prefilter: differing vectors prove non-equivalence.
     """
     reduced_sizes = tuple(map(len, _quotient(obs)[1:]))
-    indegree = Counter(t for row in obs.f for t in row)
     return (
         len(obs.states),
         len(obs.inputs),
         len(obs.outputs),
         reduced_sizes,
         tuple(sorted(Counter(obs.g).values())),
-        tuple(sorted(indegree[i] for i in range(len(obs.states)))),
+        tuple(sorted(_indegrees(obs.f))),
     )
 
 

@@ -25,8 +25,8 @@ from obskit.errors import (
     IncompatibleAlphabetsError,
 )
 from obskit.machines import constant_environment, flip_environment, redundant_observer, thermostat
-from obskit.metrics import adaptation_time
-from obskit.morphism import identity_morphism
+from obskit.metrics import adaptation_time, expected_hitting_time
+from obskit.morphism import equivalence_partition, identity_morphism
 
 from conftest import random_environment, random_observer, random_system, reachable_joints_oracle
 
@@ -291,6 +291,21 @@ def test_a_horizon_that_is_not_a_count_is_a_definition_error(horizon, message):
 def test_a_joint_that_is_not_a_pair_of_hashable_labels_is_an_identifier_error(call):
     system = CoupledSystem(thermostat(), flip_environment())
     with pytest.raises(IdentifierError, match="pair"):
+        call(system)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda system: expected_hitting_time([[.5, .5, 0], [0, .5, .5], [0, 0, 1]], 0, 5), "goal"),
+    (lambda system: expected_hitting_time([[.5, .5, 0], [0, .5, .5], [0, 0, 1]], 0, None), "goal"),
+    (lambda system: equivalence_partition(None), "observers"),
+    (lambda system: equivalence_partition(5), "observers"),
+    (lambda system: system.reachable_joints(None), "starts"),
+    (lambda system: validate_minimal(system, None), "starts"),
+], ids=["hit-goal-int", "hit-goal-none", "partition-none", "partition-int", "reachable-none",
+        "minimal-none"])
+def test_a_collection_argument_that_is_not_iterable_is_a_definition_error(call, message):
+    system = CoupledSystem(thermostat(), flip_environment())
+    with pytest.raises(DefinitionError, match=f"^{message} must be iterable, got "):
         call(system)
 
 

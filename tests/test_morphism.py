@@ -241,6 +241,51 @@ def test_a_ten_cycle_is_told_from_two_five_cycles_at_once(inputs):
     assert perf_counter() - started < 1.0
 
 
+def components(parts: list[list[int]], prefix: str = "c", seed: int | None = None) -> Observer:
+    """One input, one output, on the disjoint union of ``parts``, each a successor list.
+
+    With ``seed`` given, the states are listed in a shuffled order.
+    """
+    succ: list[int] = []
+    for part in parts:
+        succ += [len(succ) + t for t in part]
+    place = list(range(len(succ)))
+    if seed is not None:
+        random.Random(seed).shuffle(place)
+    states = [""] * len(succ)
+    for i, p in enumerate(place):
+        states[p] = f"{prefix}{i}"
+    return Observer(tuple(states), ("y",), ("z",),
+                    {(f"{prefix}{i}", "y"): f"{prefix}{t}" for i, t in enumerate(succ)},
+                    {x: "z" for x in states})
+
+
+C3, C6 = [1, 2, 0], [1, 2, 3, 4, 5, 0]
+TAILED_C3 = [1, 2, 0, 0, 3, 4]  # a 3-cycle, and a 3-state path into its first state
+UNION_30 = [random.Random(30).choice((C3, C6)) for _ in range(30)]
+NEAR_30 = [TAILED_C3 if k == UNION_30.index(C6) else part for k, part in enumerate(UNION_30)]
+
+
+# color refinement alone cannot tell C_6 from 2 x C_3, so unless states start
+# apart by component size the search retries every placement of the triangles
+@pytest.mark.parametrize("a_parts, b_parts, isomorphic", [
+    ([C3] * 4 + [C6], [C3] * 6, False),
+    ([C3] * 5 + [C6], [C3] * 7, False),
+    ([C3] * 6 + [C6], [C3] * 8, False),
+    ([C6] * 4 + [TAILED_C3], [C6] * 5, False),
+    (UNION_30, UNION_30, True),
+    (UNION_30, NEAR_30, False),
+], ids=["4C3+C6-6C3", "5C3+C6-7C3", "6C3+C6-8C3", "4C6+tailed-5C6", "30-shuffled", "30-near-miss"])
+def test_unions_of_cycles_resolve_without_a_stall(a_parts, b_parts, isomorphic):
+    a, b = components(a_parts), components(b_parts, "d", seed=1)
+    started = perf_counter()
+    morphism = find_isomorphism(a, b)
+    elapsed = perf_counter() - started
+    assert (morphism is not None) == isomorphic
+    assert morphism is None or check_homomorphism(a, b, morphism).holds
+    assert elapsed < 1.0
+
+
 def test_a_5000_state_cycle_matches_a_relabeled_copy():
     a = cycles([5000])
     b = relabeled(a, random.Random(5), prefix="e")

@@ -76,9 +76,6 @@ SAMPLES = [
 ]
 IDS = [cls.__name__ for cls, _, _ in SAMPLES]
 
-# these hold plain dicts, as they always have, so they are not hashable
-UNHASHABLE = {Wiring, RuleTable, RuleFamily}
-
 
 def build(cls, kwargs):
     return cls(*copy.deepcopy(tuple(kwargs.values())))
@@ -92,8 +89,7 @@ def test_there_is_one_sample_per_record_type():
 def test_equal_values_compare_and_hash_equal(cls, kwargs, required):
     a, b = build(cls, kwargs), build(cls, kwargs)
     assert a == b and not a != b
-    if cls not in UNHASHABLE:
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
     for other_cls, other_kwargs, _ in SAMPLES:
         if other_cls is not cls:
             assert a != build(other_cls, other_kwargs)
