@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import product
 from types import MappingProxyType
 
-from .core import Observer, Trace, TraceRecord, _integer, _of_type, _Record
+from .core import Observer, Trace, TraceRecord, _integer, _items, _of_type, _Record
 from .errors import DefinitionError, EncodingError
 
 Bits = tuple[int, ...]
@@ -267,7 +267,7 @@ def render_text(rows) -> str:
     if isinstance(rows, _Diagram):
         text = "\n".join(map(f"{{:0{len(rows[0])}b}}".format, rows._packed))
         return text.encode().translate(_GLYPHS).decode("ascii")
-    return "\n".join(bytes(map(bool, row)).translate(_TEXT).decode("ascii") for row in rows)
+    return "\n".join(bytes(map(bool, row)).translate(_TEXT).decode("ascii") for row in _items(rows, "rows"))
 
 
 def pbm_bytes(rows) -> bytes:
@@ -275,7 +275,7 @@ def pbm_bytes(rows) -> bytes:
     if isinstance(rows, _Diagram):
         width, packed = len(rows[0]), rows._packed
     else:
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(r) for r in _items(rows, "rows"))
         if not rows:
             raise DefinitionError("cannot render an empty diagram")
         width = len(rows[0])

@@ -1,23 +1,18 @@
 """Command-line front end.
 
 Exit codes are stable for scripting: 0 for success (and for "equivalent"),
-1 for domain errors or negative verdicts, 2 for usage errors.
+1 for domain errors or negative verdicts, 2 for usage errors.  Each
+subcommand imports only the modules it runs, so a short call pays for no others.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-from . import ca as ca_mod
-from .core import CoupledSystem
-from .documents import parse_environment, parse_observer, serialize_observer
 from .errors import ObskitError
-from .metrics import adaptation_time, complexity, expected_hitting_time
-from .morphism import find_isomorphism, minimize
 
 LN2 = math.log(2)
 
@@ -82,6 +77,9 @@ def _split_pair(text: str, what: str) -> tuple[str, str]:
 
 
 def _cmd_simulate(args) -> int:
+    import json
+    from .core import CoupledSystem
+    from .documents import parse_environment, parse_observer
     observer = parse_observer(Path(args.observer).read_bytes())
     environment = parse_environment(Path(args.env).read_bytes())
     system = CoupledSystem(observer, environment)
@@ -98,6 +96,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .documents import parse_observer
+    from .morphism import find_isomorphism
     first = parse_observer(Path(args.first).read_bytes())
     second = parse_observer(Path(args.second).read_bytes())
     anchors = _split_pair(args.anchors, "--anchors") if args.anchors else None
@@ -113,6 +113,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
+    from .documents import parse_observer
+    from .metrics import complexity
     observer = parse_observer(Path(args.observer).read_bytes())
     report = complexity(observer)
     scale, unit = (1 / LN2, "bits") if args.bits else (1.0, "nats")
@@ -124,6 +126,8 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    from .documents import parse_observer, serialize_observer
+    from .morphism import minimize
     observer = parse_observer(Path(args.observer).read_bytes())
     reduced, _, _ = minimize(observer)
     text = serialize_observer(reduced)
@@ -150,6 +154,9 @@ def _parse_goal(expr: str):
 
 
 def _cmd_adapt(args) -> int:
+    from .core import CoupledSystem
+    from .documents import parse_environment, parse_observer
+    from .metrics import adaptation_time
     observer = parse_observer(Path(args.observer).read_bytes())
     environment = parse_environment(Path(args.env).read_bytes())
     system = CoupledSystem(observer, environment)
@@ -163,10 +170,14 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_hit(args) -> int:
+    import json
+    from .metrics import expected_hitting_time
     try:
         raw = json.loads(Path(args.chain).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ObskitError(f"chain file is not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ObskitError(str(exc)) from None
     if isinstance(raw, dict) and "matrix" not in raw:
         raise ObskitError("a chain object must have a 'matrix' entry")
     matrix = raw["matrix"] if isinstance(raw, dict) else raw
@@ -192,9 +203,11 @@ def _parse_pattern(pattern: str, width: int) -> tuple[int, ...]:
 
 
 def _cmd_ca(args) -> int:
+    from . import ca as ca_mod
     rule = ca_mod.rule_table(args.rule)
     cells = _parse_pattern(args.init, args.width)
     if args.embed:
+        from .documents import parse_observer
         observer = parse_observer(Path(args.embed).read_bytes())
         system = ca_mod.embed(rule, cells, args.at, observer)
         rows, _ = ca_mod.run_embedded(system, args.steps)
@@ -226,7 +239,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ObskitError, OSError, json.JSONDecodeError) as exc:
+    except (ObskitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

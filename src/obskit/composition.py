@@ -19,7 +19,7 @@ import weakref
 from collections.abc import Hashable, Iterable, Mapping
 from itertools import chain
 
-from .core import Ident, Observer, _ordered_unique, _Record, check_total
+from .core import Ident, Observer, _of_type, _ordered_unique, _Record, check_total
 from .errors import (
     DefinitionError,
     LedgerOrderError,
@@ -147,6 +147,7 @@ def check_well_founded(
     """
     if meta_graph is None:
         meta_graph = (registry or _default_registry).graph()
+    _of_type(meta_graph, Mapping, "meta_graph must be a mapping")
 
     nodes = dict.fromkeys(chain(meta_graph, chain.from_iterable(meta_graph.values())))
 
@@ -184,6 +185,9 @@ def stack(lower: Observer, upper: Observer, wiring: Wiring,
     dropped upper action when the wiring overrides.  The result is a plain
     observer, so every analysis in the package applies to it unchanged.
     """
+    _of_type(lower, Observer, "lower must be an Observer")
+    _of_type(upper, Observer, "upper must be an Observer")
+    _of_type(wiring, Wiring, "wiring must be a Wiring")
     lift = check_total("lift", wiring.lift, lower.outputs, upper.inputs, WiringError)
     drop = None if wiring.drop is None else check_total(
         "drop", wiring.drop, upper.outputs, lower.outputs, WiringError)
@@ -301,7 +305,7 @@ def record_fact(
     state: Ident,
 ) -> FactLedger:
     """Extend the ledger by one entry; steps per observer must not go back."""
-    last = ledger.last_step(observer_id)
+    last = _of_type(ledger, FactLedger, "ledger must be a FactLedger").last_step(observer_id)
     if last is not None and step < last:
         raise LedgerOrderError(
             f"step {step} precedes already recorded step {last} for {observer_id!r}"
@@ -313,9 +317,8 @@ def facts_relative_to(
     ledger: FactLedger, observer_id: Hashable, step: int
 ) -> tuple[FactEntry, ...]:
     """Everything the observer has recorded by the given step, inclusive."""
-    return tuple(
-        e for e in ledger.entries if e.observer_id == observer_id and e.step <= step
-    )
+    entries = _of_type(ledger, FactLedger, "ledger must be a FactLedger").entries
+    return tuple(e for e in entries if e.observer_id == observer_id and e.step <= step)
 
 
 # -- two-observer measurement script -----------------------------------------

@@ -249,7 +249,7 @@ class Observer(_Record):
         """Open-loop run: feed a word of inputs, collect the emitted actions."""
         state = start
         emitted = []
-        for symbol in word:
+        for symbol in _items(word, "word"):
             state = self.step(state, symbol)
             emitted.append(self.output(state))
         return tuple(emitted)

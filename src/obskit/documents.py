@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .core import Environment, Observer, check_total
+from .core import Environment, Observer, _of_type, check_total
 from .errors import (
     DocumentCompletenessError,
     DocumentError,
@@ -117,6 +117,7 @@ def _dump(doc: dict) -> str:
 
 def serialize_observer(obs: Observer) -> str:
     """Canonical document text for an observer."""
+    _of_type(obs, Observer, "expected an Observer")
     _require_document_ids("state", obs.states)
     _require_document_ids("input", obs.inputs)
     _require_document_ids("output", obs.outputs)
@@ -133,6 +134,7 @@ def serialize_observer(obs: Observer) -> str:
 
 def serialize_environment(env: Environment) -> str:
     """Canonical document text for an environment."""
+    _of_type(env, Environment, "expected an Environment")
     _require_document_ids("env_state", env.states)
     _require_document_ids("action", env.actions)
     observations = list(dict.fromkeys(env.readings))

@@ -73,6 +73,8 @@ def adaptation_time(
     cap guards goal runs over state spaces too large to exhaust; exceeding
     it raises ``CapExceededError``.
     """
+    if goal is not None and not callable(goal):
+        raise DefinitionError(f"goal must be callable, got {goal!r}")
     x, s = system.observer.states, system.environment.states
     cap = _integer(len(x) * len(s) + 1 if cap is None else cap, "cap", 1)
     seen: dict[tuple[int, int], int] = {}

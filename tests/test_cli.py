@@ -225,6 +225,17 @@ def test_hit_non_utf8_chain_is_domain_error(tmp_path, capsys):
     assert "UTF-8" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"x', "Unterminated string starting at: line 1 column 2 (char 1)"),
+    ("{x", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+])
+def test_hit_malformed_json_chain_is_domain_error(tmp_path, capsys, text, message):
+    chain = tmp_path / "cut.json"
+    chain.write_text(text)
+    code, out, err = run_cli(capsys, "hit", "--chain", str(chain), "--start", "0", "--goal", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_internal_errors_are_not_reported_as_user_errors(monkeypatch):
     import obskit.cli as cli
 
@@ -349,6 +360,63 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
         "print(sorted({'dataclasses', 'inspect'}.intersection(sys.modules)))",
     ])
     assert fresh_interpreter(code)[-2] == "[]"
+
+
+# every name `import obskit` exported before the package loaded its modules on first use
+EXPORTED = [
+    "AdaptationResult", "BehavioralPartition", "CARule", "CapExceededError", "ComplexityReport",
+    "CoupledSystem", "DefinitionError", "DocumentCompletenessError", "DocumentError",
+    "DocumentParseError", "DocumentReferenceError", "EmbeddedSystem", "EncodingError", "Environment",
+    "FactEntry", "FactLedger", "GOAL_REACHED", "GOAL_UNREACHABLE", "IdentifierError",
+    "IncompatibleAlphabetsError", "LabScriptRun", "LedgerOrderError", "MetaCycleError",
+    "MetaRegistry", "MinimalityReport", "MorphismCheck", "MorphismShapeError", "NumericalError",
+    "Observer", "ObserverMorphism", "ObskitError", "RuleFamily", "RuleTable", "TRANSIENT_TO_CYCLE",
+    "Trace", "TraceRecord", "WellFoundedReport", "Wiring", "WiringError", "adaptation_time", "ca",
+    "ca_evolution", "ca_step", "canonical_invariants", "check_homomorphism", "check_well_founded",
+    "complexity", "composition", "core", "damping_observer", "default_registry", "documents",
+    "embed", "equivalence_partition", "equivalent", "errors", "expected_hitting_time",
+    "facts_relative_to", "find_isomorphism", "identity_morphism", "known_spin_values", "metrics",
+    "minimize", "morphism", "parse_environment", "parse_observer", "pbm_bytes", "record_fact",
+    "render_text", "rule_table", "run_embedded", "run_lab_script", "second_order_wrap",
+    "serialize_environment", "serialize_observer", "stack", "transparent_observer",
+    "validate_minimal",
+]
+SUBMODULES = ["ca", "composition", "core", "documents", "errors", "metrics", "morphism"]
+
+
+def loaded_after(code):
+    # the obskit modules, and json, that a fresh interpreter holds after running code
+    shown = "print(sorted(m for m in sys.modules if m == 'json' or m.split('.')[0] == 'obskit'))"
+    return fresh_interpreter(f"{code}\n{shown}")[-2]
+
+
+def test_start_up_loads_only_the_modules_a_call_runs():
+    assert loaded_after("import obskit") == "['obskit']"
+    assert loaded_after("import obskit.cli") == "['obskit', 'obskit.cli', 'obskit.errors']"
+    bare_ca = dispatching("ca", "--rule", "110", "--width", "15", "--steps", "10", "--init", "single")
+    assert loaded_after(bare_ca) == "['obskit', 'obskit.ca', 'obskit.cli', 'obskit.core', 'obskit.errors']"
+
+
+def test_every_exported_name_resolves_to_its_module_attribute():
+    checks = f"""
+import obskit
+assert sorted(obskit.__all__) == {EXPORTED!r} and set(obskit.__all__) <= set(dir(obskit))
+assert obskit.core is sys.modules["obskit.core"]
+modules = [getattr(obskit, name) for name in {SUBMODULES!r}]
+assert modules == [sys.modules[f"obskit.{{name}}"] for name in {SUBMODULES!r}]
+for name in set(obskit.__all__) - set({SUBMODULES!r}):
+    value = getattr(obskit, name)
+    assert all(vars(m).get(name, value) is value for m in modules), name
+    assert any(vars(m).get(name) is value for m in modules), name
+namespace = {{}}
+exec("from obskit import *", namespace)
+assert all(namespace[name] is getattr(obskit, name) for name in obskit.__all__)
+try:
+    obskit.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert fresh_interpreter(checks)[-2] == "module 'obskit' has no attribute 'no_such_name'"
 
 
 def test_hit_loads_numpy_and_prints_the_in_process_value(capsys):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obskit.core
-from obskit.ca import rule_table
+from obskit.ca import pbm_bytes, render_text, rule_table
+from obskit.composition import Wiring, check_well_founded, facts_relative_to, record_fact, stack
 from obskit.core import (
     CoupledSystem,
     Environment,
@@ -19,6 +20,7 @@ from obskit.core import (
     Trace,
     validate_minimal,
 )
+from obskit.documents import serialize_environment, serialize_observer
 from obskit.errors import (
     DefinitionError,
     IdentifierError,
@@ -306,6 +308,29 @@ def test_a_joint_that_is_not_a_pair_of_hashable_labels_is_an_identifier_error(ca
 def test_a_collection_argument_that_is_not_iterable_is_a_definition_error(call, message):
     system = CoupledSystem(thermostat(), flip_environment())
     with pytest.raises(DefinitionError, match=f"^{message} must be iterable, got "):
+        call(system)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda system: stack(thermostat(), "x", Wiring({z: z for z in thermostat().outputs})),
+     "upper must be an Observer"),
+    (lambda system: stack(None, thermostat(), Wiring({})), "lower must be an Observer"),
+    (lambda system: stack(thermostat(), thermostat(), 5), "wiring must be a Wiring"),
+    (lambda system: record_fact(None, "o", 1, "y", "a"), "ledger must be a FactLedger"),
+    (lambda system: facts_relative_to(None, "o", 1), "ledger must be a FactLedger"),
+    (lambda system: check_well_founded(5), "meta_graph must be a mapping"),
+    (lambda system: serialize_observer(None), "expected an Observer"),
+    (lambda system: serialize_environment(None), "expected an Environment"),
+    (lambda system: render_text(5), "rows must be iterable"),
+    (lambda system: pbm_bytes(5), "rows must be iterable"),
+    (lambda system: system.observer.respond("OFF", 5), "word must be iterable"),
+    (lambda system: adaptation_time(system, ("OFF", "Cold"), goal="x"), "goal must be callable"),
+], ids=["stack-upper-str", "stack-lower-none", "stack-wiring-int", "record-fact-none", "facts-none", "well-founded-int",
+        "serialize-observer-none", "serialize-environment-none", "render-text-int", "pbm-int",
+        "respond-int", "adapt-goal-str"])
+def test_an_argument_of_the_wrong_kind_is_a_definition_error(call, message):
+    system = CoupledSystem(thermostat(), flip_environment())
+    with pytest.raises(DefinitionError, match=f"^{message}, got "):
         call(system)
 
 
