@@ -267,7 +267,8 @@ def render_text(rows) -> str:
     if isinstance(rows, _Diagram):
         text = "\n".join(map(f"{{:0{len(rows[0])}b}}".format, rows._packed))
         return text.encode().translate(_GLYPHS).decode("ascii")
-    return "\n".join(bytes(map(bool, row)).translate(_TEXT).decode("ascii") for row in _items(rows, "rows"))
+    rows = [_items(row, "a diagram row") for row in _items(rows, "rows")]
+    return "\n".join(bytes(map(bool, row)).translate(_TEXT).decode("ascii") for row in rows)
 
 
 def pbm_bytes(rows) -> bytes:
@@ -275,7 +276,7 @@ def pbm_bytes(rows) -> bytes:
     if isinstance(rows, _Diagram):
         width, packed = len(rows[0]), rows._packed
     else:
-        rows = tuple(tuple(r) for r in _items(rows, "rows"))
+        rows = tuple(_items(r, "a diagram row") for r in _items(rows, "rows"))
         if not rows:
             raise DefinitionError("cannot render an empty diagram")
         width = len(rows[0])

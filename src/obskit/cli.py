@@ -76,15 +76,19 @@ def _split_pair(text: str, what: str) -> tuple[str, str]:
     return head, tail
 
 
-def _cmd_simulate(args) -> int:
-    import json
+def _loop(args):
+    """The coupled system of ``--observer`` and ``--env``, and the joint state ``--init`` names."""
     from .core import CoupledSystem
     from .documents import parse_environment, parse_observer
     observer = parse_observer(Path(args.observer).read_bytes())
     environment = parse_environment(Path(args.env).read_bytes())
-    system = CoupledSystem(observer, environment)
-    x0, s0 = _split_pair(args.init, "--init")
-    trace = system.run((x0, s0), args.steps)
+    return CoupledSystem(observer, environment), _split_pair(args.init, "--init")
+
+
+def _cmd_simulate(args) -> int:
+    import json
+    system, joint = _loop(args)
+    trace = system.run(joint, args.steps)
     if args.trace == "tsv":
         print("t\ty\tx\tz\ts")
         for r in trace:
@@ -154,15 +158,10 @@ def _parse_goal(expr: str):
 
 
 def _cmd_adapt(args) -> int:
-    from .core import CoupledSystem
-    from .documents import parse_environment, parse_observer
     from .metrics import adaptation_time
-    observer = parse_observer(Path(args.observer).read_bytes())
-    environment = parse_environment(Path(args.env).read_bytes())
-    system = CoupledSystem(observer, environment)
-    x0, s0 = _split_pair(args.init, "--init")
+    system, joint = _loop(args)
     goal = _parse_goal(args.goal) if args.goal else None
-    result = adaptation_time(system, (x0, s0), goal=goal, cap=args.cap)
+    result = adaptation_time(system, joint, goal=goal, cap=args.cap)
     print(f"kind = {result.kind}")
     print(f"steps = {result.steps if result.steps is not None else '-'}")
     print(f"cycle_period = {result.cycle_period if result.cycle_period is not None else '-'}")
@@ -178,6 +177,8 @@ def _cmd_hit(args) -> int:
         raise ObskitError(f"chain file is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ObskitError(str(exc)) from None
+    except RecursionError:
+        raise ObskitError("chain file is nested too deeply to parse") from None
     if isinstance(raw, dict) and "matrix" not in raw:
         raise ObskitError("a chain object must have a 'matrix' entry")
     matrix = raw["matrix"] if isinstance(raw, dict) else raw

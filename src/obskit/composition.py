@@ -19,7 +19,7 @@ import weakref
 from collections.abc import Hashable, Iterable, Mapping
 from itertools import chain
 
-from .core import Ident, Observer, _of_type, _ordered_unique, _Record, check_total
+from .core import Ident, Observer, _items, _of_type, _ordered_unique, _Record, check_total
 from .errors import (
     DefinitionError,
     LedgerOrderError,
@@ -148,8 +148,9 @@ def check_well_founded(
     if meta_graph is None:
         meta_graph = (registry or _default_registry).graph()
     _of_type(meta_graph, Mapping, "meta_graph must be a mapping")
-
-    nodes = dict.fromkeys(chain(meta_graph, chain.from_iterable(meta_graph.values())))
+    # read each value once: an iterator read twice would come back empty
+    graph = {node: _items(targets, "each meta_graph value") for node, targets in meta_graph.items()}
+    nodes = dict.fromkeys(chain(graph, chain.from_iterable(graph.values())))
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = dict.fromkeys(nodes, WHITE)
@@ -158,7 +159,7 @@ def check_well_founded(
         if color[root] != WHITE:
             continue
         color[root] = GREY
-        frames = [(root, iter(meta_graph.get(root, ())))]
+        frames = [(root, iter(graph.get(root, ())))]
         while frames:
             node, it = frames[-1]
             for nxt in it:
@@ -167,7 +168,7 @@ def check_well_founded(
                     return WellFoundedReport(False, tuple(path[path.index(nxt):]))
                 if color[nxt] == WHITE:
                     color[nxt] = GREY
-                    frames.append((nxt, iter(meta_graph.get(nxt, ()))))
+                    frames.append((nxt, iter(graph.get(nxt, ()))))
                     break
             else:
                 color[node] = BLACK

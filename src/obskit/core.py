@@ -76,34 +76,28 @@ def _locate(index: Mapping, label, what: str):
         raise IdentifierError(f"unknown {what} {label!r}") from None
 
 
-def _copy(mapping) -> dict:
-    """``dict(mapping)``, but 20 times faster for a read-only view, which copies its own dict."""
-    return mapping.copy() if type(mapping) is MappingProxyType else dict(mapping)
-
-
 def check_total(label: str, mapping: Mapping, domain: Collection,
                 codomain: Iterable | None = None, error: type[Exception] = DefinitionError,
-                incomplete: type[Exception] | None = None) -> dict:
-    """Copy ``mapping`` into a dict after checking it is a total map.
+                incomplete: type[Exception] | None = None) -> Mapping:
+    """Return ``mapping``, uncopied, once it is checked to be a total map.
 
     The checks run in a fixed order: keys outside ``domain``, then values
     outside ``codomain`` (skipped when it is None), both raised as
     ``error``, then keys of ``domain`` with no entry, raised as
     ``incomplete`` (``error`` when not given).
     """
-    table = _copy(mapping)
-    missing = [k for k in domain if k not in table]
-    if len(table) + len(missing) != len(domain):
-        stray = set(table).difference(domain)
+    missing = [k for k in domain if k not in mapping]
+    if len(mapping) + len(missing) != len(domain):
+        stray = set(mapping).difference(domain)
         raise error(f"{label} has entries outside its domain: {sorted(map(repr, stray))}")
     if codomain is not None:
         allowed = set(codomain)
-        if not allowed.issuperset(table.values()):
-            k, v = next((k, v) for k, v in table.items() if v not in allowed)
+        if not allowed.issuperset(mapping.values()):
+            k, v = next((k, v) for k, v in mapping.items() if v not in allowed)
             raise error(f"{label}[{k!r}] = {v!r} is not a declared target")
     if missing:
         raise (incomplete or error)(f"{label} is not total, missing {missing[0]!r}")
-    return table
+    return mapping
 
 
 def _index(items: tuple[Ident, ...]) -> dict[Ident, int]:
@@ -141,7 +135,7 @@ class _Record:
 
     _fields: tuple[str, ...] = ()
     _frozen: tuple = ()  # (position, name, kind, None allowed) of each container field
-    _stores = {"Mapping": lambda value: MappingProxyType(_copy(value)), "tuple": tuple}  # by kind
+    _stores = {"Mapping": lambda value: MappingProxyType(dict(value)), "tuple": tuple}  # by kind
     __post_init__ = None
 
     def __init_subclass__(cls) -> None:

@@ -3,11 +3,12 @@
 Documents are UTF-8 JSON.  Identifier arrays keep their order, which is
 the construction order of the machine.  Table keys join two identifiers
 with a comma, so identifiers themselves must be comma-free, non-empty
-strings.  Both parsers read through one routine, ``_read``, which checks
-the encoding, root object and ``format_version`` and reads the three
-arrays and two tables both machine kinds have.  Serialization is canonical:
-object keys sorted, two-space indent, trailing newline, making equal
-machines byte-identical on disk.
+strings.  Each machine kind has one layout, the names of the three arrays
+and two tables it has.  Both parsers read through one routine, ``_read``,
+which checks the encoding, root object and ``format_version`` and reads the
+parts a layout names; both serializers write through its mirror, ``_write``.
+Serialization is canonical: object keys sorted, two-space indent, trailing
+newline, making equal machines byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -59,14 +60,19 @@ def _table(doc: dict, name: str, domain: list, targets: tuple[str, ...],
                        DocumentReferenceError, DocumentCompletenessError)
 
 
-def _read(text: str | bytes, arrays: tuple[str, str, str], tables: tuple[str, str]) -> tuple:
-    """Load a document and read the parts both machine kinds share, in this order.
+_OBSERVER = (("states", "inputs", "outputs"), ("transitions", "output_map"))
+_ENVIRONMENT = (("env_states", "actions", "observations"), ("env_transitions", "observation"))
 
-    ``arrays`` name the states, the symbols read and the values emitted;
-    ``tables`` name the transition, keyed "state,symbol" (the first two array
-    names in the singular), and the per-state map.  Returns the document, the
-    three arrays and the two tables.
+
+def _read(text: str | bytes, layout: tuple) -> tuple:
+    """Load a document and read the parts ``layout`` names, in this order.
+
+    A layout is a pair: the three array names (the states, the symbols read,
+    the values emitted) and the two table names (the transition, keyed
+    "state,symbol" by the first two array names in the singular, and the
+    per-state map).  Returns the document, the three arrays and the two tables.
     """
+    arrays, tables = layout
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -76,6 +82,8 @@ def _read(text: str | bytes, arrays: tuple[str, str, str], tables: tuple[str, st
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise DocumentParseError("document is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")
     if (version := doc.get("format_version")) != FORMAT_VERSION:
@@ -86,9 +94,24 @@ def _read(text: str | bytes, arrays: tuple[str, str, str], tables: tuple[str, st
             _table(doc, tables[1], list(states), emitted))
 
 
+def _write(layout: tuple, arrays: tuple, transition, per_state, **rest) -> str:
+    """``_read``'s mirror: canonical text of a ``layout`` machine and entries ``rest``, once its ids pass."""
+    names, tables = layout
+    for name, items in zip(names, arrays):
+        for item in items:
+            if not isinstance(item, str) or not item or "," in item:
+                raise DocumentError(f"{name[:-1]} identifier {item!r} cannot be serialized: "
+                                    "documents need comma-free, non-empty strings")
+    states, symbols, _ = arrays
+    doc = dict(zip(names, map(list, arrays)), format_version=FORMAT_VERSION, **rest)
+    doc[tables[0]] = {f"{x},{y}": transition[(x, y)] for x in states for y in symbols}
+    doc[tables[1]] = {x: per_state[x] for x in states}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def parse_observer(text: str | bytes) -> Observer:
     """Parse and fully validate an observer document."""
-    doc, *parts = _read(text, ("states", "inputs", "outputs"), ("transitions", "output_map"))
+    doc, *parts = _read(text, _OBSERVER)
     boundary = doc.get("boundary", "")
     if not isinstance(boundary, str):
         raise DocumentError("'boundary' must be a string")
@@ -97,53 +120,19 @@ def parse_observer(text: str | bytes) -> Observer:
 
 def parse_environment(text: str | bytes) -> Environment:
     """Parse and fully validate an environment document."""
-    _, states, actions, _, transition, observation = _read(
-        text, ("env_states", "actions", "observations"), ("env_transitions", "observation"))
+    _, states, actions, _, transition, observation = _read(text, _ENVIRONMENT)
     return Environment(states, actions, transition, observation)
-
-
-def _require_document_ids(label: str, items) -> None:
-    for item in items:
-        if not isinstance(item, str) or not item or "," in item:
-            raise DocumentError(
-                f"{label} identifier {item!r} cannot be serialized: "
-                "documents need comma-free, non-empty strings"
-            )
-
-
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def serialize_observer(obs: Observer) -> str:
     """Canonical document text for an observer."""
     _of_type(obs, Observer, "expected an Observer")
-    _require_document_ids("state", obs.states)
-    _require_document_ids("input", obs.inputs)
-    _require_document_ids("output", obs.outputs)
-    return _dump({
-        "format_version": FORMAT_VERSION,
-        "states": list(obs.states),
-        "inputs": list(obs.inputs),
-        "outputs": list(obs.outputs),
-        "transitions": {f"{x},{y}": obs.transition[(x, y)] for x in obs.states for y in obs.inputs},
-        "output_map": {x: obs.output_map[x] for x in obs.states},
-        "boundary": obs.boundary,
-    })
+    return _write(_OBSERVER, (obs.states, obs.inputs, obs.outputs), obs.transition, obs.output_map,
+                  boundary=obs.boundary)
 
 
 def serialize_environment(env: Environment) -> str:
     """Canonical document text for an environment."""
     _of_type(env, Environment, "expected an Environment")
-    _require_document_ids("env_state", env.states)
-    _require_document_ids("action", env.actions)
-    observations = list(dict.fromkeys(env.readings))
-    _require_document_ids("observation", observations)
-    return _dump({
-        "format_version": FORMAT_VERSION,
-        "env_states": list(env.states),
-        "actions": list(env.actions),
-        "observations": observations,
-        "env_transitions": {f"{s},{a}": env.transition[(s, a)] for s in env.states for a in env.actions},
-        "observation": {s: env.observation[s] for s in env.states},
-    })
+    return _write(_ENVIRONMENT, (env.states, env.actions, tuple(dict.fromkeys(env.readings))),
+                  env.transition, env.observation)

@@ -236,6 +236,17 @@ def test_hit_malformed_json_chain_is_domain_error(tmp_path, capsys, text, messag
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command, what", [
+    (("complexity", "{file}"), "document"),
+    (("hit", "--chain", "{file}", "--start", "0", "--goal", "1"), "chain file"),
+], ids=["complexity", "hit"])
+def test_a_deeply_nested_input_file_is_a_domain_error(tmp_path, capsys, command, what):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, *[part.format(file=deep) for part in command])
+    assert (code, out, err) == (1, "", f"error: {what} is nested too deeply to parse\n")
+
+
 def test_internal_errors_are_not_reported_as_user_errors(monkeypatch):
     import obskit.cli as cli
 

@@ -242,6 +242,12 @@ def test_root_refining_two_children_is_well_founded():
     assert report.well_founded
 
 
+def test_a_cycle_given_through_iterators_is_found():
+    report = check_well_founded({1: iter([2]), 2: iter([1])})
+    assert not report.well_founded
+    assert report.cycle == (1, 2)
+
+
 def test_stacks_register_edges_in_the_default_registry():
     lift = {"HeaterOff": "saw_off", "HeaterOn": "saw_on"}
     stack(thermostat(), supervisor(), Wiring(lift=lift))

@@ -319,15 +319,18 @@ def test_a_collection_argument_that_is_not_iterable_is_a_definition_error(call, 
     (lambda system: record_fact(None, "o", 1, "y", "a"), "ledger must be a FactLedger"),
     (lambda system: facts_relative_to(None, "o", 1), "ledger must be a FactLedger"),
     (lambda system: check_well_founded(5), "meta_graph must be a mapping"),
+    (lambda system: check_well_founded({1: 5}), "each meta_graph value must be iterable"),
     (lambda system: serialize_observer(None), "expected an Observer"),
     (lambda system: serialize_environment(None), "expected an Environment"),
     (lambda system: render_text(5), "rows must be iterable"),
     (lambda system: pbm_bytes(5), "rows must be iterable"),
+    (lambda system: render_text([5]), "a diagram row must be iterable"),
+    (lambda system: pbm_bytes([5]), "a diagram row must be iterable"),
     (lambda system: system.observer.respond("OFF", 5), "word must be iterable"),
     (lambda system: adaptation_time(system, ("OFF", "Cold"), goal="x"), "goal must be callable"),
 ], ids=["stack-upper-str", "stack-lower-none", "stack-wiring-int", "record-fact-none", "facts-none", "well-founded-int",
-        "serialize-observer-none", "serialize-environment-none", "render-text-int", "pbm-int",
-        "respond-int", "adapt-goal-str"])
+        "well-founded-value-int", "serialize-observer-none", "serialize-environment-none", "render-text-int",
+        "pbm-int", "render-text-row-int", "pbm-row-int", "respond-int", "adapt-goal-str"])
 def test_an_argument_of_the_wrong_kind_is_a_definition_error(call, message):
     system = CoupledSystem(thermostat(), flip_environment())
     with pytest.raises(DefinitionError, match=f"^{message}, got "):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from obskit.core import Observer
+from obskit.core import Environment, Observer
 from obskit.documents import (
     parse_environment,
     parse_observer,
@@ -113,6 +113,12 @@ def test_malformed_documents_are_document_errors(text, error, message):
         parse_observer(text())
 
 
+@pytest.mark.parametrize("parse", [parse_observer, parse_environment])
+def test_a_deeply_nested_document_is_a_parse_error(parse):
+    with pytest.raises(DocumentParseError, match=r"^document is nested too deeply to parse$"):
+        parse("[" * 100_000)
+
+
 def test_comma_in_identifier_rejected():
     doc = thermostat_doc()
     doc["states"] = ["O,FF", "ON"]
@@ -162,6 +168,30 @@ def test_serializing_non_string_identifiers_fails_cleanly():
     )
     with pytest.raises(DocumentError):
         serialize_observer(obs)
+
+
+def _machine_of(kind, states, symbols, emitted):
+    """A one-table machine of ``kind`` over the given sets, every move to the first state."""
+    transition = {(x, y): states[0] for x in states for y in symbols}
+    if kind is Observer:
+        return Observer(states, symbols, emitted, transition, dict.fromkeys(states, emitted[0]))
+    return Environment(states, symbols, transition, dict.fromkeys(states, emitted[0]))
+
+
+@pytest.mark.parametrize("kind, sets, label, item", [
+    (Observer, (("x", 7), ("y",), ("z",)), "state", "7"),
+    (Observer, (("x",), ("y,1",), ("z",)), "input", "'y,1'"),
+    (Observer, (("x",), ("y",), ("",)), "output", "''"),
+    (Environment, ((1,), ("a",), ("r",)), "env_state", "1"),
+    (Environment, (("s",), ("a,b",), ("r",)), "action", "'a,b'"),
+    (Environment, (("s",), ("a",), (("r", 1),)), "observation", "('r', 1)"),
+], ids=["state", "input", "output", "env_state", "action", "observation"])
+def test_each_identifier_set_names_its_unserializable_item(kind, sets, label, item):
+    serialize = serialize_observer if kind is Observer else serialize_environment
+    with pytest.raises(DocumentError) as info:
+        serialize(_machine_of(kind, *sets))
+    assert str(info.value) == (f"{label} identifier {item} cannot be serialized: "
+                               "documents need comma-free, non-empty strings")
 
 
 def test_environment_documents_validate_observation_values():
