@@ -24,7 +24,8 @@ included).  The observer then acts: its two output bits overwrite the
 block's own boundary cells, the leftmost and rightmost cells of the block,
 after the pattern write.  Those boundary cells are the neighbors the
 adjacent environment cells read on the next step, so actions reach the
-environment through the standard coupling.
+environment through the standard coupling.  One routine, ``_block``,
+builds both the transparent and the damping block.
 """
 
 from __future__ import annotations
@@ -225,6 +226,22 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
                         for t, (j, code) in enumerate(moves)])
 
 
+def _block(rule: CARule, block_width: int, act, boundary: str) -> Observer:
+    """The block whose bits step as ``rule`` would between the two sensed bits and which
+    emits ``act(bits)`` from its new bits; ``boundary`` is formatted with the width read."""
+    minterms, block_width = _minterms(rule), _integer(block_width, "block width", 1)
+    states = tuple(product((0, 1), repeat=block_width))
+    pairs = tuple(product((0, 1), repeat=2))
+    # state i between sensed bits l and r is the padded code 2 * (l * n + i) + r
+    n = len(states)
+    transition = {
+        (bits, (l, r)): states[(_step(2 * (l * n + i) + r, block_width + 2, minterms) >> 1) % n]
+        for i, bits in enumerate(states) for l, r in pairs
+    }
+    return Observer(states, pairs, pairs, transition, {bits: act(bits) for bits in states},
+                    boundary.format(block_width))
+
+
 def transparent_observer(rule: CARule, block_width: int) -> Observer:
     """The observer whose embedding reproduces the bare rule exactly.
 
@@ -233,33 +250,12 @@ def transparent_observer(rule: CARule, block_width: int) -> Observer:
     as edge neighbors, and the action repeats the new boundary bits so the
     overwrite changes nothing.
     """
-    minterms, block_width = _minterms(rule), _integer(block_width, "block width", 1)
-    states = tuple(product((0, 1), repeat=block_width))
-    inputs = tuple(product((0, 1), repeat=2))
-    outputs = tuple(product((0, 1), repeat=2))
-
-    # state i between sensed bits l and r is the padded code 2 * (l * n + i) + r
-    n = len(states)
-    transition = {
-        (bits, (l, r)): states[(_step(2 * (l * n + i) + r, block_width + 2, minterms) >> 1) % n]
-        for i, bits in enumerate(states) for l, r in inputs
-    }
-    output_map = {bits: (bits[0], bits[-1]) for bits in states}
-    return Observer(
-        states=states,
-        inputs=inputs,
-        outputs=outputs,
-        transition=transition,
-        output_map=output_map,
-        boundary=f"transparent block of {block_width} cells",
-    )
+    return _block(rule, block_width, lambda bits: (bits[0], bits[-1]), "transparent block of {} cells")
 
 
 def damping_observer(rule: CARule, block_width: int) -> Observer:
     """A transparent block whose actions pin its boundary cells to zero."""
-    base = transparent_observer(rule, block_width)
-    return Observer(base.states, base.inputs, base.outputs, base.transition,
-                    dict.fromkeys(base.states, (0, 0)), f"damping block of {block_width} cells")
+    return _block(rule, block_width, lambda bits: (0, 0), "damping block of {} cells")
 
 
 def render_text(rows) -> str:

@@ -23,11 +23,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate, compare, and measure finite observers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    loop = argparse.ArgumentParser(add_help=False)  # the options _loop reads, for simulate and adapt
+    loop.add_argument("--observer", required=True, metavar="FILE")
+    loop.add_argument("--env", required=True, metavar="FILE")
+    loop.add_argument("--init", required=True, metavar="X0,S0")
 
-    p = sub.add_parser("simulate", help="run an observer against an environment")
-    p.add_argument("--observer", required=True, metavar="FILE")
-    p.add_argument("--env", required=True, metavar="FILE")
-    p.add_argument("--init", required=True, metavar="X0,S0")
+    p = sub.add_parser("simulate", parents=[loop], help="run an observer against an environment")
     p.add_argument("--steps", required=True, type=int, metavar="N")
     p.add_argument("--trace", choices=("tsv", "jsonl"), default="tsv")
 
@@ -44,10 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("observer", metavar="FILE")
     p.add_argument("-o", "--output", metavar="OUT")
 
-    p = sub.add_parser("adapt", help="steps until a coupled run settles or meets a goal")
-    p.add_argument("--observer", required=True, metavar="FILE")
-    p.add_argument("--env", required=True, metavar="FILE")
-    p.add_argument("--init", required=True, metavar="X0,S0")
+    p = sub.add_parser("adapt", parents=[loop], help="steps until a coupled run settles or meets a goal")
     p.add_argument("--goal", metavar="EXPR", help="e.g. 'x=ON', 's=Hot', or 'x=ON,s=Hot'")
     p.add_argument("--cap", type=int, metavar="N")
 

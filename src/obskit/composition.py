@@ -4,12 +4,12 @@
 lower machine's actions and may override what the pair emits.  A
 ``second_order_wrap`` turns a finite family of rule tables plus a
 table-selection rule into an ordinary observer that switches its own rules
-as it runs.  ``stack`` registers who-watches-whom edges in a meta registry
-that refuses to become cyclic and holds observers only weakly, forgetting
-them once they are collected; ``check_well_founded`` tests arbitrary
-observation graphs.  ``FactLedger`` keeps the observer-relative
-record of which interactions crossed which boundary, exercised end to end
-by the bundled two-observer measurement script.
+as it runs; ``_product`` builds both on pairs of states.  ``stack`` records
+who-watches-whom edges in a meta registry that refuses to become cyclic and
+holds observers only weakly, forgetting them once they are collected;
+``check_well_founded`` tests arbitrary observation graphs.  ``FactLedger``
+keeps the observer-relative record of which interactions crossed which
+boundary, exercised end to end by the bundled two-observer lab script.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import weakref
 from collections.abc import Hashable, Iterable, Mapping
 from itertools import chain
 
-from .core import Ident, Observer, _items, _of_type, _ordered_unique, _Record, check_total
+from .core import Ident, Observer, _index, _integer, _items, _of_type, _Record, check_total
 from .errors import (
     DefinitionError,
     LedgerOrderError,
@@ -176,6 +176,14 @@ def check_well_founded(
     return WellFoundedReport(True, None)
 
 
+def _product(left, right, inputs, outputs, step, emit, boundary: str) -> Observer:
+    """The observer on the pairs (l, r) of ``left`` and ``right``, l major: on input y the
+    pair (l, r) moves to ``step(l, r, y)``, and it emits ``emit(l, r)``."""
+    states = tuple([(l, r) for l in left for r in right])
+    return Observer(states, inputs, outputs, {((l, r), y): step(l, r, y) for l, r in states for y in inputs},
+                    {(l, r): emit(l, r) for l, r in states}, boundary)
+
+
 def stack(lower: Observer, upper: Observer, wiring: Wiring,
           registry: MetaRegistry | None = None) -> Observer:
     """Compose two observers into one, the upper refining the lower.
@@ -193,25 +201,13 @@ def stack(lower: Observer, upper: Observer, wiring: Wiring,
     drop = None if wiring.drop is None else check_total(
         "drop", wiring.drop, upper.outputs, lower.outputs, WiringError)
 
-    states = tuple((xl, xu) for xl in lower.states for xu in upper.states)
-    transition = {}
-    for (xl, xu), y in ((s, y) for s in states for y in lower.inputs):
+    def step(xl, xu, y):
         xl2 = lower.transition[(xl, y)]
-        xu2 = upper.transition[(xu, lift[lower.output_map[xl2]])]
-        transition[((xl, xu), y)] = (xl2, xu2)
-    if drop is None:
-        output_map = {(xl, xu): lower.output_map[xl] for (xl, xu) in states}
-    else:
-        output_map = {(xl, xu): drop[upper.output_map[xu]] for (xl, xu) in states}
+        return xl2, upper.transition[(xu, lift[lower.output_map[xl2]])]
 
-    composite = Observer(
-        states=states,
-        inputs=lower.inputs,
-        outputs=lower.outputs,
-        transition=transition,
-        output_map=output_map,
-        boundary=f"stack({lower.boundary or 'lower'} < {upper.boundary or 'upper'})",
-    )
+    emit = (lambda xl, xu: lower.output_map[xl]) if drop is None else (lambda xl, xu: drop[upper.output_map[xu]])
+    composite = _product(lower.states, upper.states, lower.inputs, lower.outputs, step, emit,
+                         f"stack({lower.boundary or 'lower'} < {upper.boundary or 'upper'})")
     reg = registry or _default_registry
     reg.register_edge(upper, lower)
     reg.register_edge(composite, lower)
@@ -239,6 +235,8 @@ class RuleFamily(_Record):
     def __post_init__(self) -> None:
         if not self.tables:
             raise DefinitionError("rule family must contain at least one table")
+        for table in self.tables:
+            _of_type(table, RuleTable, "each rule family table must be a RuleTable")
 
 
 def second_order_wrap(
@@ -254,10 +252,10 @@ def second_order_wrap(
     the index.  Self-modification stays inside one machine, so nothing is
     registered in the meta registry.
     """
-    states = _ordered_unique("states", states)
-    inputs = _ordered_unique("inputs", inputs)
-    outputs = _ordered_unique("outputs", outputs)
-    indices = range(len(family.tables))
+    states = tuple(_index("states", states))
+    inputs = tuple(_index("inputs", inputs))
+    outputs = tuple(_index("outputs", outputs))
+    indices = range(len(_of_type(family, RuleFamily, "family must be a RuleFamily").tables))
     keys = [(x, y) for x in states for y in inputs]
     steps = [check_total(f"table {k} transition", t.transition, keys, states)
              for k, t in enumerate(family.tables)]
@@ -265,17 +263,8 @@ def second_order_wrap(
              for k, t in enumerate(family.tables)]
     meta = check_total("meta_update", family.meta_update,
                        [(k, x, y) for k in indices for x, y in keys], indices)
-
-    wrapped_states = tuple((x, k) for x in states for k in indices)
-    return Observer(
-        states=wrapped_states,
-        inputs=inputs,
-        outputs=outputs,
-        transition={((x, k), y): (steps[k][(x, y)], meta[(k, x, y)])
-                    for x, k in wrapped_states for y in inputs},
-        output_map={(x, k): emits[k][x] for x, k in wrapped_states},
-        boundary="rule-switching wrapper",
-    )
+    return _product(states, indices, inputs, outputs, lambda x, k, y: (steps[k][(x, y)], meta[(k, x, y)]),
+                    lambda x, k: emits[k][x], "rule-switching wrapper")
 
 
 # -- observer-relative facts -------------------------------------------------
@@ -307,6 +296,7 @@ def record_fact(
 ) -> FactLedger:
     """Extend the ledger by one entry; steps per observer must not go back."""
     last = _of_type(ledger, FactLedger, "ledger must be a FactLedger").last_step(observer_id)
+    step = _integer(step, "step")
     if last is not None and step < last:
         raise LedgerOrderError(
             f"step {step} precedes already recorded step {last} for {observer_id!r}"
@@ -319,6 +309,7 @@ def facts_relative_to(
 ) -> tuple[FactEntry, ...]:
     """Everything the observer has recorded by the given step, inclusive."""
     entries = _of_type(ledger, FactLedger, "ledger must be a FactLedger").entries
+    step = _integer(step, "step")
     return tuple(e for e in entries if e.observer_id == observer_id and e.step <= step)
 
 

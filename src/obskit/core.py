@@ -14,10 +14,10 @@ used freely from multiple threads, hashed, and pickled: every value type
 in the package is a ``_Record``, which stores a mapping field as a
 read-only ``types.MappingProxyType`` view of a private copy.  ``Observer``
 and ``Environment`` check their sets and label transition in one routine,
-``_machine`` (over ``check_total``), which also cuts the transition into int
-rows ``f`` over construction-order indices.  The closed loop runs on those
-and ``Observer.g`` alone, joined by two index maps the coupled system
-derives once; labels are looked up only for what a caller gets back.
+``_machine``: ``_index`` checks and indexes each set in one pass, and
+``check_total`` the transition, cut into int rows ``f``.  The loop runs on
+those and ``Observer.g`` alone, joined by two index maps the coupled
+system derives once; labels are looked up only for what callers get back.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ from types import MappingProxyType
 from .errors import DefinitionError, IdentifierError, IncompatibleAlphabetsError
 
 Ident = Hashable
-
-
-def _ordered_unique(label: str, items: Iterable[Ident]) -> tuple[Ident, ...]:
-    out = tuple(items)
-    if not out:
-        raise DefinitionError(f"{label} must not be empty")
-    if len(set(out)) != len(out):
-        raise DefinitionError(f"duplicate identifiers in {label}: {out!r}")
-    return out
 
 
 def _of_type(value, cls: type, claim: str):
@@ -100,20 +91,31 @@ def check_total(label: str, mapping: Mapping, domain: Collection,
     return mapping
 
 
-def _index(items: tuple[Ident, ...]) -> dict[Ident, int]:
-    return {item: i for i, item in enumerate(items)}
+def _index(label: str, items) -> dict[Ident, int]:
+    """The position of each of ``items``, once they are checked non-empty, hashable and duplicate-free."""
+    out = _items(items, label)
+    if not out:
+        raise DefinitionError(f"{label} must not be empty")
+    try:
+        index = {item: i for i, item in enumerate(out)}
+    except TypeError:
+        raise DefinitionError(f"{label} must hold hashable identifiers, got {out!r}") from None
+    if len(index) != len(out):
+        raise DefinitionError(f"duplicate identifiers in {label}: {out!r}")
+    return index
 
 
-def _machine(label: str, transition: Mapping, *sets: tuple[str, Iterable]) -> tuple[dict, tuple]:
-    """The state index and int rows of ``transition``, called ``label``, once it and ``sets`` pass.
+def _machine(label: str, transition: Mapping, *sets: tuple[str, Iterable]) -> tuple[list, tuple]:
+    """The index of each of ``sets`` and the int rows of ``transition``, called ``label``, once all pass.
 
-    ``sets`` are (name, items) pairs, each checked non-empty and duplicate-free in turn: the
-    states, the symbols read, then any other.  Row i holds state i's successors' indices.
+    ``sets`` are (name, items) pairs, indexed by ``_index`` in turn: the states, the symbols
+    read, then any other.  Row i holds state i's successors' indices.
     """
-    states, symbols = [_ordered_unique(name, items) for name, items in sets][:2]
+    indexes = [_index(name, items) for name, items in sets]
+    states, symbols = indexes[:2]
     keys = [(x, y) for x in states for y in symbols]
-    table, index = check_total(label, transition, keys, states), _index(states)
-    return index, tuple(zip(*[iter([index[table[k]] for k in keys])] * len(symbols)))
+    table = check_total(label, transition, keys, states)
+    return indexes, tuple(zip(*[iter([states[table[k]] for k in keys])] * len(symbols)))
 
 
 _set = object.__setattr__
@@ -224,11 +226,11 @@ class Observer(_Record):
     _compare = ("states", "inputs", "outputs", "boundary", "f", "g")
 
     def __post_init__(self) -> None:
-        si, f = _machine("transition", self.transition, ("states", self.states), ("inputs", self.inputs),
-                         ("outputs", self.outputs))
-        output_map, zi = check_total("output_map", self.output_map, self.states, self.outputs), _index(self.outputs)
-        self._assign(f=f, g=tuple([zi[output_map[x]] for x in self.states]), state_index=si,
-                     input_index=_index(self.inputs))
+        (si, yi, zi), f = _machine("transition", self.transition, ("states", self.states),
+                                   ("inputs", self.inputs), ("outputs", self.outputs))
+        output_map = check_total("output_map", self.output_map, self.states, zi)
+        _of_type(self.boundary, str, "boundary must be a string")
+        self._assign(f=f, g=tuple([zi[output_map[x]] for x in self.states]), state_index=si, input_index=yi)
 
     def step(self, state: Ident, received: Ident) -> Ident:
         """Next internal state after sensing ``received`` in ``state``."""
@@ -267,10 +269,15 @@ class Environment(_Record):
     _compare = ("states", "actions", "f", "readings")
 
     def __post_init__(self) -> None:
-        si, f = _machine("environment transition", self.transition, ("environment states", self.states),
-                         ("actions", self.actions))
+        (si, _), f = _machine("environment transition", self.transition, ("environment states", self.states),
+                              ("actions", self.actions))
         observation = check_total("observation map", self.observation, self.states)
-        self._assign(f=f, readings=tuple([observation[s] for s in self.states]), state_index=si)
+        readings = tuple([observation[s] for s in self.states])
+        try:
+            hash(readings)
+        except TypeError:
+            raise DefinitionError(f"observation map must hold hashable readings, got {readings!r}") from None
+        self._assign(f=f, readings=readings, state_index=si)
 
     def observe(self, state: Ident) -> Ident:
         return _locate(self.observation, state, "environment state")
@@ -334,7 +341,7 @@ class CoupledSystem(_Record):
         if stray:
             raise IncompatibleAlphabetsError("observer actions the environment does not accept: "
                                              f"{sorted(map(repr, stray))}")
-        actions = _index(env.actions)
+        actions = _index("actions", env.actions)
         self._assign(_sense=tuple([obs.input_index[y] for y in env.readings]),
                      _act=tuple([actions[z] for z in obs.outputs]))
 

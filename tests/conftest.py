@@ -9,7 +9,7 @@ against something it does not share code with.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +334,51 @@ def embedded_oracle_run(cells, number: int, start: int, obs: Observer, steps: in
         rows.append(row)
         records.append((t, reading, state_at(row), action, row))
     return rows, records
+
+
+# -- composite-builder oracles ------------------------------------------------------
+
+def stack_oracle(lower: Observer, upper: Observer, wiring) -> Observer:
+    """``stack``'s composite built straight from the label tables, registering nothing:
+    the lower machine steps, the upper steps on the lifted new lower action, and the
+    pair emits the lower action or, under ``drop``, the dropped upper action."""
+    states = tuple((xl, xu) for xl in lower.states for xu in upper.states)
+    transition = {}
+    for xl, xu in states:
+        for y in lower.inputs:
+            xl2 = lower.transition[(xl, y)]
+            transition[((xl, xu), y)] = (xl2, upper.transition[(xu, wiring.lift[lower.output_map[xl2]])])
+    if wiring.drop is None:
+        output_map = {(xl, xu): lower.output_map[xl] for xl, xu in states}
+    else:
+        output_map = {(xl, xu): wiring.drop[upper.output_map[xu]] for xl, xu in states}
+    return Observer(states, lower.inputs, lower.outputs, transition, output_map,
+                    f"stack({lower.boundary or 'lower'} < {upper.boundary or 'upper'})")
+
+
+def second_order_wrap_oracle(states, inputs, outputs, family) -> Observer:
+    """``second_order_wrap``'s observer on the pairs (base state, table index), base state major."""
+    tables, meta = family.tables, family.meta_update
+    wrapped = tuple((x, k) for x in states for k in range(len(tables)))
+    transition = {((x, k), y): (tables[k].transition[(x, y)], meta[(k, x, y)]) for x, k in wrapped for y in inputs}
+    output_map = {(x, k): tables[k].output_map[x] for x, k in wrapped}
+    return Observer(wrapped, tuple(inputs), tuple(outputs), transition, output_map, "rule-switching wrapper")
+
+
+def block_observer_oracle(number: int, k: int, damping: bool = False) -> Observer:
+    """The CA block observer built in two steps: the transparent block, whose state
+    is the block's bits, moved by ``eca_oracle_step`` on the block padded with the
+    two sensed bits and acting its new edge bits; then, for a damping block, that
+    machine rebuilt with every action (0, 0)."""
+    states = tuple(product((0, 1), repeat=k))
+    pairs = tuple(product((0, 1), repeat=2))
+    transition = {(bits, (l, r)): eca_oracle_step((l, *bits, r), number)[1:-1] for bits in states for l, r in pairs}
+    base = Observer(states, pairs, pairs, transition, {bits: (bits[0], bits[-1]) for bits in states},
+                    f"transparent block of {k} cells")
+    if not damping:
+        return base
+    return Observer(base.states, base.inputs, base.outputs, base.transition,
+                    dict.fromkeys(base.states, (0, 0)), f"damping block of {k} cells")
 
 
 # -- fixed observer corpus -----------------------------------------------------------

@@ -26,7 +26,7 @@ from obskit.ca import (
 from obskit.core import Observer
 from obskit.errors import DefinitionError, EncodingError, ObskitError
 
-from conftest import eca_oracle_run, embedded_oracle_run
+from conftest import block_observer_oracle, eca_oracle_run, embedded_oracle_run
 
 RULE_110_TABLE = {
     (1, 1, 1): 0,
@@ -364,6 +364,24 @@ def test_damping_observer_absorbs_an_incoming_pattern():
     assert any(any(row[start + k:]) for row in rows)  # the pattern really ran
     for row in rows:
         assert not any(row[:start]), "pattern crossed the damping block"
+
+
+def test_block_observers_match_their_two_step_construction():
+    rng = random.Random(110)
+    for number in sorted({30, 90, 110, 184, *rng.sample(range(256), 24)}):
+        rule = rule_table(number)
+        for k in range(1, 5):
+            for built, oracle in ((transparent_observer(rule, k), block_observer_oracle(number, k)),
+                                  (damping_observer(rule, k), block_observer_oracle(number, k, damping=True))):
+                assert built == oracle and built.boundary == oracle.boundary
+                assert list(built.transition.items()) == list(oracle.transition.items())
+                assert list(built.output_map.items()) == list(oracle.output_map.items())
+
+
+def test_a_block_names_the_width_it_read():
+    rule = rule_table(110)
+    assert transparent_observer(rule, True).boundary == "transparent block of 1 cells"
+    assert damping_observer(rule, True).boundary == "damping block of 1 cells"
 
 
 # -- rendering ---------------------------------------------------------------------

@@ -441,6 +441,47 @@ def test_hit_loads_numpy_and_prints_the_in_process_value(capsys):
 
 # -- usage and plumbing ------------------------------------------------------------------------------
 
+def reference_parser():
+    """The subcommands and their help, and the simulate and adapt options as each
+    of the two once declared them on its own."""
+    import argparse
+    parser = argparse.ArgumentParser(prog="obskit", description="Simulate, compare, and measure finite observers.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("simulate", help="run an observer against an environment")
+    p.add_argument("--observer", required=True, metavar="FILE")
+    p.add_argument("--env", required=True, metavar="FILE")
+    p.add_argument("--init", required=True, metavar="X0,S0")
+    p.add_argument("--steps", required=True, type=int, metavar="N")
+    p.add_argument("--trace", choices=("tsv", "jsonl"), default="tsv")
+    sub.add_parser("equiv", help="decide whether two observers are relabelings")
+    sub.add_parser("complexity", help="capacity, redundancy, and reduced sizes")
+    sub.add_parser("minimize", help="write the behaviorally reduced observer")
+    p = sub.add_parser("adapt", help="steps until a coupled run settles or meets a goal")
+    p.add_argument("--observer", required=True, metavar="FILE")
+    p.add_argument("--env", required=True, metavar="FILE")
+    p.add_argument("--init", required=True, metavar="X0,S0")
+    p.add_argument("--goal", metavar="EXPR", help="e.g. 'x=ON', 's=Hot', or 'x=ON,s=Hot'")
+    p.add_argument("--cap", type=int, metavar="N")
+    sub.add_parser("hit", help="expected hitting time of a Markov chain")
+    sub.add_parser("ca", help="run an elementary cellular automaton")
+    return parser
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["simulate", "--help"], ["adapt", "--help"], ["simulate"], ["adapt", "--observer", "x"],
+    ["simulate", "--observer", "a", "--env", "b", "--init", "c"], ["adapt", "--init", "x0,s0"],
+    ["adapt", "--observer", "a", "--env", "b", "--init", "c", "--cap", "many"],
+], ids=["help", "simulate-help", "adapt-help", "simulate-bare", "adapt-observer-only", "simulate-no-steps",
+        "adapt-init-only", "adapt-cap-not-int"])
+def test_help_and_usage_errors_of_the_loop_subcommands_are_pinned(capsys, argv):
+    try:
+        reference_parser().parse_args(argv)
+    except SystemExit as exc:
+        expected = (int(exc.code or 0), *capsys.readouterr())
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == (0 if "--help" in argv else 2)
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 

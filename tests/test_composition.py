@@ -32,7 +32,7 @@ from obskit.machines import thermostat
 from obskit.metrics import complexity
 from obskit.morphism import equivalent
 
-from conftest import cycle_oracle
+from conftest import cycle_oracle, random_observer, second_order_wrap_oracle, stack_oracle
 
 
 def supervisor() -> Observer:
@@ -127,6 +127,37 @@ def test_drop_image_must_be_a_lower_output():
     drop = {"note_ok": "HeaterOff", "note_hot": "Explode"}
     with pytest.raises(WiringError):
         stack(thermostat(), supervisor(), Wiring(lift=lift, drop=drop))
+
+
+def assert_built_alike(built: Observer, oracle: Observer) -> None:
+    """Equal observers whose label tables also iterate in the same order."""
+    assert built == oracle and built.boundary == oracle.boundary
+    assert list(built.transition.items()) == list(oracle.transition.items())
+    assert list(built.output_map.items()) == list(oracle.output_map.items())
+
+
+def test_stack_matches_the_label_table_oracle_on_random_machines():
+    rng = random.Random(4242)
+    for trial in range(60):
+        lower, upper = (Observer(o.states, o.inputs, o.outputs, o.transition, o.output_map, rng.choice(("", name)))
+                        for o, name in ((random_observer(rng), "lo"), (random_observer(rng), "up")))
+        lift = {z: rng.choice(upper.inputs) for z in lower.outputs}
+        drop = {z: rng.choice(lower.outputs) for z in upper.outputs} if trial % 2 else None
+        wiring = Wiring(lift, drop)
+        assert_built_alike(stack(lower, upper, wiring), stack_oracle(lower, upper, wiring))
+
+
+def test_second_order_wrap_matches_the_label_table_oracle_on_random_families():
+    rng = random.Random(1618)
+    for _ in range(60):
+        base = random_observer(rng, max_size=4)
+        sizes = (len(base.states), len(base.inputs), len(base.outputs))
+        n = rng.randint(1, 3)
+        tables = tuple(RuleTable(o.transition, o.output_map) for o in (random_observer(rng, sizes=sizes) for _ in range(n)))
+        meta = {(k, x, y): rng.randrange(n) for k in range(n) for x in base.states for y in base.inputs}
+        family = RuleFamily(tables, meta)
+        wrapped = second_order_wrap(list(base.states), iter(base.inputs), list(base.outputs), family)
+        assert_built_alike(wrapped, second_order_wrap_oracle(base.states, base.inputs, base.outputs, family))
 
 
 # -- second-order wrapping ------------------------------------------------------

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 import obskit.core
 from obskit.ca import pbm_bytes, render_text, rule_table
-from obskit.composition import Wiring, check_well_founded, facts_relative_to, record_fact, stack
+from obskit.composition import (
+    FactLedger,
+    RuleFamily,
+    Wiring,
+    check_well_founded,
+    facts_relative_to,
+    record_fact,
+    second_order_wrap,
+    stack,
+)
 from obskit.core import (
     CoupledSystem,
     Environment,
@@ -328,9 +337,24 @@ def test_a_collection_argument_that_is_not_iterable_is_a_definition_error(call, 
     (lambda system: pbm_bytes([5]), "a diagram row must be iterable"),
     (lambda system: system.observer.respond("OFF", 5), "word must be iterable"),
     (lambda system: adaptation_time(system, ("OFF", "Cold"), goal="x"), "goal must be callable"),
+    (lambda system: Observer((["a"],), ("y",), ("z",), {}, {}), "states must hold hashable identifiers"),
+    (lambda system: Observer(("a",), ("y",), ("z",), {("a", "y"): "a"}, {"a": "z"}, 5), "boundary must be a string"),
+    (lambda system: Observer(("a",), ("y",), ("z",), {("a", "y"): "a"}, {"a": "z"}, None),
+     "boundary must be a string"),
+    (lambda system: Environment(("s",), ("a",), {("s", "a"): "s"}, {"s": ["r"]}),
+     "observation map must hold hashable readings"),
+    (lambda system: second_order_wrap(5, ("y",), ("z",), 5), "states must be iterable"),
+    (lambda system: second_order_wrap(("a",), ("y",), ("z",), 5), "family must be a RuleFamily"),
+    (lambda system: second_order_wrap(("a",), ("y",), ("z",), RuleFamily((5,), {})),
+     "each rule family table must be a RuleTable"),
+    (lambda system: record_fact(FactLedger(), "o", "1", "y", "a"), "step must be an integer"),
+    (lambda system: facts_relative_to(record_fact(FactLedger(), "o", 1, "y", "a"), "o", "2"),
+     "step must be an integer"),
 ], ids=["stack-upper-str", "stack-lower-none", "stack-wiring-int", "record-fact-none", "facts-none", "well-founded-int",
         "well-founded-value-int", "serialize-observer-none", "serialize-environment-none", "render-text-int",
-        "pbm-int", "render-text-row-int", "pbm-row-int", "respond-int", "adapt-goal-str"])
+        "pbm-int", "render-text-row-int", "pbm-row-int", "respond-int", "adapt-goal-str", "observer-unhashable-state",
+        "observer-boundary-int", "observer-boundary-none", "environment-unhashable-reading", "wrap-states-int",
+        "wrap-family-int", "rule-family-table-int", "record-fact-step-str", "facts-step-str"])
 def test_an_argument_of_the_wrong_kind_is_a_definition_error(call, message):
     system = CoupledSystem(thermostat(), flip_environment())
     with pytest.raises(DefinitionError, match=f"^{message}, got "):
