@@ -33,12 +33,11 @@ from __future__ import annotations
 from itertools import product
 from types import MappingProxyType
 
-from .core import Observer, Trace, TraceRecord, _integer, _items, _of_type, _Record
+from .core import _DIGITS, Observer, Trace, TraceRecord, _integer, _items, _of_type, _Record
 from .errors import DefinitionError, EncodingError
 
 Bits = tuple[int, ...]
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _CELLS = bytes.maketrans(b"01", b"\0\1")
 _TEXT = bytes.maketrans(b"\0\1", b".#")
 _GLYPHS = bytes.maketrans(b"01", b".#")

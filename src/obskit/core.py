@@ -30,6 +30,7 @@ from types import MappingProxyType
 from .errors import DefinitionError, IdentifierError, IncompatibleAlphabetsError
 
 Ident = Hashable
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0 and 1 bytes to binary digits, to pack bits into an int
 
 
 def _of_type(value, cls: type, claim: str):
@@ -83,9 +84,18 @@ def check_total(label: str, mapping: Mapping, domain: Collection,
         raise error(f"{label} has entries outside its domain: {sorted(map(repr, stray))}")
     if codomain is not None:
         allowed = set(codomain)
-        if not allowed.issuperset(mapping.values()):
-            k, v = next((k, v) for k, v in mapping.items() if v not in allowed)
-            raise error(f"{label}[{k!r}] = {v!r} is not a declared target")
+        try:
+            within = allowed.issuperset(mapping.values())
+        except TypeError:  # an unhashable value, which no declared target can be
+            within = False
+        if not within:  # find the first stray value, testing each under try for the same reason
+            for k, v in mapping.items():
+                try:
+                    if v in allowed:
+                        continue
+                except TypeError:
+                    pass
+                raise error(f"{label}[{k!r}] = {v!r} is not a declared target")
     if missing:
         raise (incomplete or error)(f"{label} is not total, missing {missing[0]!r}")
     return mapping
@@ -428,6 +438,7 @@ def validate_minimal(system: CoupledSystem, starts: Iterable[JointState]) -> Min
     states.  The check is sound but not complete; a pass can still hide a
     loop whose actions never matter further downstream.
     """
+    _of_type(system, CoupledSystem, "system must be a CoupledSystem")
     obs, env = system.observer, system.environment
     reached = {env.state_index[s] for _, s in system.reachable_joints(starts)}
 

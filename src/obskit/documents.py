@@ -73,7 +73,7 @@ def _read(text: str | bytes, layout: tuple) -> tuple:
     per-state map).  Returns the document, the three arrays and the two tables.
     """
     arrays, tables = layout
-    if isinstance(text, bytes):
+    if isinstance(_of_type(text, (str, bytes), "a document must be str or bytes"), bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:

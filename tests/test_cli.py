@@ -430,13 +430,22 @@ except AttributeError as exc:
     assert fresh_interpreter(checks)[-2] == "module 'obskit' has no attribute 'no_such_name'"
 
 
-def test_hit_loads_numpy_and_prints_the_in_process_value(capsys):
+def test_hit_on_a_small_chain_leaves_numpy_unloaded_and_prints_the_in_process_value(capsys):
     argv = ("hit", "--chain", CHAIN2, "--start", "0", "--goal", "1")
     *printed, loaded = fresh_interpreter(dispatching(*argv))
-    assert loaded == "True"
+    assert loaded == "False"
     _, out, _ = run_cli(capsys, *argv)
     assert printed == out.splitlines()
     assert abs(float(printed[0]) - 2.0) <= 1e-9
+
+
+@pytest.mark.parametrize("states, loaded", [(64, "False"), (65, "True")])
+def test_hit_loads_numpy_only_for_a_chain_of_more_than_64_states(tmp_path, states, loaded):
+    # a cycle that moves to the next state surely: the last state is states - 1 steps from the first
+    chain = tmp_path / "cycle.json"
+    chain.write_text(json.dumps([[float(j == (i + 1) % states) for j in range(states)] for i in range(states)]))
+    argv = ("hit", "--chain", str(chain), "--start", "0", "--goal", str(states - 1))
+    assert fresh_interpreter(dispatching(*argv)) == [str(states - 1), loaded]
 
 
 # -- usage and plumbing ------------------------------------------------------------------------------

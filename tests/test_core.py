@@ -15,6 +15,7 @@ from obskit.ca import pbm_bytes, render_text, rule_table
 from obskit.composition import (
     FactLedger,
     RuleFamily,
+    RuleTable,
     Wiring,
     check_well_founded,
     facts_relative_to,
@@ -29,11 +30,12 @@ from obskit.core import (
     Trace,
     validate_minimal,
 )
-from obskit.documents import serialize_environment, serialize_observer
+from obskit.documents import parse_environment, parse_observer, serialize_environment, serialize_observer
 from obskit.errors import (
     DefinitionError,
     IdentifierError,
     IncompatibleAlphabetsError,
+    WiringError,
 )
 from obskit.machines import constant_environment, flip_environment, redundant_observer, thermostat
 from obskit.metrics import adaptation_time, expected_hitting_time
@@ -350,15 +352,40 @@ def test_a_collection_argument_that_is_not_iterable_is_a_definition_error(call, 
     (lambda system: record_fact(FactLedger(), "o", "1", "y", "a"), "step must be an integer"),
     (lambda system: facts_relative_to(record_fact(FactLedger(), "o", 1, "y", "a"), "o", "2"),
      "step must be an integer"),
+    (lambda system: adaptation_time(5, ("OFF", "Cold")), "system must be a CoupledSystem"),
+    (lambda system: validate_minimal(5, [("OFF", "Cold")]), "system must be a CoupledSystem"),
+    (lambda system: parse_observer(5), "a document must be str or bytes"),
+    (lambda system: parse_environment(5), "a document must be str or bytes"),
 ], ids=["stack-upper-str", "stack-lower-none", "stack-wiring-int", "record-fact-none", "facts-none", "well-founded-int",
         "well-founded-value-int", "serialize-observer-none", "serialize-environment-none", "render-text-int",
         "pbm-int", "render-text-row-int", "pbm-row-int", "respond-int", "adapt-goal-str", "observer-unhashable-state",
         "observer-boundary-int", "observer-boundary-none", "environment-unhashable-reading", "wrap-states-int",
-        "wrap-family-int", "rule-family-table-int", "record-fact-step-str", "facts-step-str"])
+        "wrap-family-int", "rule-family-table-int", "record-fact-step-str", "facts-step-str", "adapt-system-int",
+        "minimal-system-int", "parse-observer-int", "parse-environment-int"])
 def test_an_argument_of_the_wrong_kind_is_a_definition_error(call, message):
     system = CoupledSystem(thermostat(), flip_environment())
     with pytest.raises(DefinitionError, match=f"^{message}, got "):
         call(system)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Observer(("a",), ("y",), ("z",), {("a", "y"): ["a"]}, {"a": "z"}), DefinitionError,
+     "transition[('a', 'y')] = ['a']"),
+    (lambda: Observer(("a",), ("y",), ("z",), {("a", "y"): "a"}, {"a": ["z"]}), DefinitionError,
+     "output_map['a'] = ['z']"),
+    (lambda: Environment(("s",), ("a",), {("s", "a"): {"s"}}, {"s": "r"}), DefinitionError,
+     "environment transition[('s', 'a')] = {'s'}"),
+    (lambda: stack(thermostat(), thermostat(), Wiring({"HeaterOff": ["Cold"], "HeaterOn": "Hot"})), WiringError,
+     "lift['HeaterOff'] = ['Cold']"),
+    (lambda: second_order_wrap(("a",), ("y",), ("z",), RuleFamily(
+        (RuleTable({("a", "y"): "a"}, {"a": "z"}),), {(0, "a", "y"): [0]})), DefinitionError,
+     "meta_update[(0, 'a', 'y')] = [0]"),
+], ids=["observer-transition", "observer-output-map", "environment-transition", "wiring-lift", "meta-update"])
+def test_an_unhashable_table_value_is_a_typed_error_naming_the_entry(call, error, message):
+    # hashing every value at once used to raise a bare TypeError
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == f"{message} is not a declared target"
 
 
 def test_a_list_pair_of_known_labels_is_a_joint_everywhere():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obskit.core import CoupledSystem, Observer
+from obskit import metrics
 from obskit.errors import (
     CapExceededError,
     DefinitionError,
     IdentifierError,
     NumericalError,
+    ObskitError,
 )
 from obskit.machines import (
     constant_environment,
@@ -28,6 +31,8 @@ from obskit.metrics import (
     GOAL_REACHED,
     GOAL_UNREACHABLE,
     TRANSIENT_TO_CYCLE,
+    _numpy_hitting_time,
+    _stdlib_hitting_time,
     adaptation_time,
     complexity,
     expected_hitting_time,
@@ -35,7 +40,9 @@ from obskit.metrics import (
 
 from conftest import (
     adaptation_time_oracle,
+    exact_hitting_time,
     mc_hitting_oracle,
+    random_chain,
     random_dense_chain,
     random_environment,
     random_observer,
@@ -374,3 +381,78 @@ def test_linear_solve_matches_monte_carlo():
         exact = expected_hitting_time(matrix, start, goal)
         mean, stderr = mc_hitting_oracle(matrix, start, goal, trials=40_000, seed=int(rng.integers(2**31)))
         assert abs(exact - mean) <= 3 * stderr + 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 70])
+def test_an_integer_too_large_for_a_float_is_a_definition_error(n):
+    # it used to escape as a bare OverflowError, on either side of the size cutoff
+    matrix = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    matrix[0][0] = 10**400
+    with pytest.raises(DefinitionError, match="int too large to convert to float$"):
+        expected_hitting_time(matrix, 0, [1])
+
+
+# -- the stdlib and numpy solve paths -------------------------------------------------
+
+SOLVERS = [pytest.param(_stdlib_hitting_time, id="stdlib"), pytest.param(_numpy_hitting_time, id="numpy")]
+
+
+@functools.cache
+def seeded_chain(n: int, band: int | None):
+    """A seeded chain, a start, a goal set that excludes it, and the exact answer."""
+    rng = random.Random(1000 * n + (band or 0))
+    rows = random_chain(rng, n, band)
+    goal = rng.sample(range(n), 1 + n % 3 if n > 3 else 1)
+    start = rng.choice([i for i in range(n) if i not in goal])
+    return rows, start, goal, exact_hitting_time(rows, start, goal)
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+@pytest.mark.parametrize("n, band", [(n, None) for n in (2, 3, 8, 27, 50, 64, 65, 80)]
+                         + [(n, 2) for n in (4, 16, 41, 63, 64, 65, 96)])
+def test_each_solve_path_matches_the_exact_oracle_on_both_sides_of_the_cutoff(solve, n, band):
+    rows, start, goal, exact = seeded_chain(n, band)
+    assert math.isclose(solve(rows, start, goal), exact, rel_tol=1e-9)
+
+
+def test_the_public_call_takes_the_stdlib_path_up_to_64_states(monkeypatch):
+    monkeypatch.setattr(metrics, "_stdlib_hitting_time", lambda *args: "stdlib")
+    monkeypatch.setattr(metrics, "_numpy_hitting_time", lambda *args: "numpy")
+    for n, path in ((1, "stdlib"), (64, "stdlib"), (65, "numpy"), (800, "numpy")):
+        assert expected_hitting_time([[1.0] * n] * n, 0, [0]) == path
+    assert expected_hitting_time(iter([[1.0]]), 0, [0]) == "stdlib"
+
+
+THREE = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("matrix, start, goal", [
+    pytest.param([[0.5, 0.4], [0.0, 1.0]], 0, [1], id="not-stochastic"),
+    pytest.param([[1.5, -0.5], [0.0, 1.0]], 0, [1], id="negative"),
+    pytest.param([[1.0]], 0, [], id="empty-goal"),
+    pytest.param([[1.0]], 3, [0], id="start-out-of-range"),
+    pytest.param(THREE, 0, [1.2], id="float-goal"),
+    pytest.param(THREE, 0, ["2"], id="str-goal"),
+    pytest.param(THREE, 0, [None], id="none-goal"),
+    pytest.param(THREE, 0.5, [2], id="float-start"),
+    pytest.param(THREE, "1", [2], id="str-start"),
+    pytest.param(THREE, None, [2], id="none-start"),
+    pytest.param([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 0, [2], id="closed-state"),
+    pytest.param([[0.0, 0.5, 0.0, 0.5], [0.0, 0.1, 0.9, 0.0], [0.0, 0.7, 0.3, 0.0], [0.0, 0.0, 0.0, 1.0]], 0, [3],
+                 id="closed-pair"),
+    pytest.param([[math.nan, 1.0], [0.0, 1.0]], 0, [1], id="nan"),
+    pytest.param([[math.inf, 0.0], [0.0, 1.0]], 0, [1], id="inf"),
+    pytest.param([[0.5, 0.5], [1.0]], 0, [1], id="ragged"),
+    pytest.param([[10**400, 0.0], [0.0, 1.0]], 0, [1], id="int-too-large"),
+    pytest.param([[0.5, 0.5], [0.0, 1.0]], 1, [1], id="start-in-goal"),
+    pytest.param([[1.0, 0.0], [0.0, 1.0]], 0, [1], id="unreachable-goal"),
+    pytest.param([[0, 1, 0], [0, 1, 0], [0, 0, 1]], 0, [1], id="unreachable-absorbing-state"),
+])
+def test_both_solve_paths_give_the_same_value_or_the_same_error(matrix, start, goal):
+    outcomes = []
+    for solve in (_stdlib_hitting_time, _numpy_hitting_time):
+        try:
+            outcomes.append(solve(matrix, start, goal))
+        except ObskitError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
