@@ -25,7 +25,7 @@ block's own boundary cells, the leftmost and rightmost cells of the block,
 after the pattern write.  Those boundary cells are the neighbors the
 adjacent environment cells read on the next step, so actions reach the
 environment through the standard coupling.  One routine, ``_block``,
-builds both the transparent and the damping block.
+builds both the transparent and the damping block, from int rows.
 """
 
 from __future__ import annotations
@@ -167,14 +167,9 @@ class EmbeddedSystem(_Record):
                 f"observer with {n_states} states encodes a block of "
                 f"{n_states.bit_length() - 1} cells, not {k}"
             )
-        if len(obs.inputs) != 4:
-            raise EncodingError(
-                f"observer needs exactly 4 inputs for the two frontier bits, got {len(obs.inputs)}"
-            )
-        if len(obs.outputs) != 4:
-            raise EncodingError(
-                f"observer needs exactly 4 outputs for its two action bits, got {len(obs.outputs)}"
-            )
+        for name, role in (("inputs", "the two frontier bits"), ("outputs", "its two action bits")):
+            if (size := len(getattr(obs, name))) != 4:
+                raise EncodingError(f"observer needs exactly 4 {name} for {role}, got {size}")
         if k + 2 > width:
             raise DefinitionError(f"block of width {k} does not fit a lattice of width {width}")
         if not 0 <= start or start + k > width:
@@ -230,15 +225,13 @@ def _block(rule: CARule, block_width: int, act, boundary: str) -> Observer:
     emits ``act(bits)`` from its new bits; ``boundary`` is formatted with the width read."""
     minterms, block_width = _minterms(rule), _integer(block_width, "block width", 1)
     states = tuple(product((0, 1), repeat=block_width))
-    pairs = tuple(product((0, 1), repeat=2))
+    pairs = tuple(product((0, 1), repeat=2))  # pair (l, r) has index 2l + r
     # state i between sensed bits l and r is the padded code 2 * (l * n + i) + r
     n = len(states)
-    transition = {
-        (bits, (l, r)): states[(_step(2 * (l * n + i) + r, block_width + 2, minterms) >> 1) % n]
-        for i, bits in enumerate(states) for l, r in pairs
-    }
-    return Observer(states, pairs, pairs, transition, {bits: act(bits) for bits in states},
-                    boundary.format(block_width))
+    f = tuple([tuple([(_step(2 * (l * n + i) + r, block_width + 2, minterms) >> 1) % n for l, r in pairs])
+               for i in range(n)])
+    return Observer._of_rows(states, pairs, pairs, f, tuple([pairs.index(act(bits)) for bits in states]),
+                             boundary.format(block_width))
 
 
 def transparent_observer(rule: CARule, block_width: int) -> Observer:

@@ -4,12 +4,13 @@
 lower machine's actions and may override what the pair emits.  A
 ``second_order_wrap`` turns a finite family of rule tables plus a
 table-selection rule into an ordinary observer that switches its own rules
-as it runs; ``_product`` builds both on pairs of states.  ``stack`` records
-who-watches-whom edges in a meta registry that refuses to become cyclic and
-holds observers only weakly, forgetting them once they are collected;
-``check_well_founded`` tests arbitrary observation graphs.  ``FactLedger``
-keeps the observer-relative record of which interactions crossed which
-boundary, exercised end to end by the bundled two-observer lab script.
+as it runs; ``_product`` builds both on index pairs of states, through
+``Observer._of_rows``.  ``stack`` records who-watches-whom edges in a meta
+registry that refuses to become cyclic and holds observers only weakly,
+forgetting them once they are collected; ``check_well_founded`` tests
+arbitrary observation graphs.  ``FactLedger`` keeps the observer-relative
+record of which interactions crossed which boundary, exercised end to end
+by the bundled two-observer lab script.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections.abc import Hashable, Iterable, Mapping
-from itertools import chain
+from itertools import chain, product
 
 from .core import Ident, Observer, _index, _integer, _items, _of_type, _Record, check_total
 from .errors import (
@@ -177,11 +178,12 @@ def check_well_founded(
 
 
 def _product(left, right, inputs, outputs, step, emit, boundary: str) -> Observer:
-    """The observer on the pairs (l, r) of ``left`` and ``right``, l major: on input y the
-    pair (l, r) moves to ``step(l, r, y)``, and it emits ``emit(l, r)``."""
-    states = tuple([(l, r) for l in left for r in right])
-    return Observer(states, inputs, outputs, {((l, r), y): step(l, r, y) for l, r in states for y in inputs},
-                    {(l, r): emit(l, r) for l, r in states}, boundary)
+    """The observer on the pairs of ``left`` and ``right`` states, l major, built on index pairs: on
+    input j the pair (l, r) moves to the pair ``step(l, r, j)``, and it emits output ``emit(l, r)``."""
+    n, js, pairs = len(right), range(len(inputs)), list(product(range(len(left)), range(len(right))))
+    f = tuple([tuple([l2 * n + r2 for l2, r2 in [step(l, r, j) for j in js]]) for l, r in pairs])
+    return Observer._of_rows(tuple(product(left, right)), inputs, outputs, f,
+                             tuple([emit(l, r) for l, r in pairs]), boundary)
 
 
 def stack(lower: Observer, upper: Observer, wiring: Wiring,
@@ -200,12 +202,17 @@ def stack(lower: Observer, upper: Observer, wiring: Wiring,
     lift = check_total("lift", wiring.lift, lower.outputs, upper.inputs, WiringError)
     drop = None if wiring.drop is None else check_total(
         "drop", wiring.drop, upper.outputs, lower.outputs, WiringError)
+    fl, gl, fu, gu = lower.f, lower.g, upper.f, upper.g
+    lift = [upper.input_index[lift[z]] for z in lower.outputs]  # each lower output's upper input
+    if drop is not None:
+        index = {z: k for k, z in enumerate(lower.outputs)}
+        drop = [index[drop[z]] for z in upper.outputs]  # each upper output's lower output
 
-    def step(xl, xu, y):
-        xl2 = lower.transition[(xl, y)]
-        return xl2, upper.transition[(xu, lift[lower.output_map[xl2]])]
+    def step(l, r, j):
+        l2 = fl[l][j]
+        return l2, fu[r][lift[gl[l2]]]
 
-    emit = (lambda xl, xu: lower.output_map[xl]) if drop is None else (lambda xl, xu: drop[upper.output_map[xu]])
+    emit = (lambda l, r: gl[l]) if drop is None else (lambda l, r: drop[gu[r]])
     composite = _product(lower.states, upper.states, lower.inputs, lower.outputs, step, emit,
                          f"stack({lower.boundary or 'lower'} < {upper.boundary or 'upper'})")
     reg = registry or _default_registry
@@ -252,18 +259,18 @@ def second_order_wrap(
     the index.  Self-modification stays inside one machine, so nothing is
     registered in the meta registry.
     """
-    states = tuple(_index("states", states))
-    inputs = tuple(_index("inputs", inputs))
-    outputs = tuple(_index("outputs", outputs))
-    indices = range(len(_of_type(family, RuleFamily, "family must be a RuleFamily").tables))
-    keys = [(x, y) for x in states for y in inputs]
-    steps = [check_total(f"table {k} transition", t.transition, keys, states)
-             for k, t in enumerate(family.tables)]
-    emits = [check_total(f"table {k} output_map", t.output_map, states, outputs)
-             for k, t in enumerate(family.tables)]
-    meta = check_total("meta_update", family.meta_update,
-                       [(k, x, y) for k in indices for x, y in keys], indices)
-    return _product(states, indices, inputs, outputs, lambda x, k, y: (steps[k][(x, y)], meta[(k, x, y)]),
+    states, inputs, outputs = _index("states", states), _index("inputs", inputs), _index("outputs", outputs)
+    tables = _of_type(family, RuleFamily, "family must be a RuleFamily").tables
+    indices, keys = range(len(tables)), [(x, y) for x in states for y in inputs]
+    steps = [check_total(f"table {k} transition", t.transition, keys, states) for k, t in enumerate(tables)]
+    emits = [check_total(f"table {k} output_map", t.output_map, states, outputs) for k, t in enumerate(tables)]
+    meta = check_total("meta_update", family.meta_update, [(k, x, y) for k in indices for x, y in keys], indices)
+    # table k's move from state x on input j, (next state, next table), is moves[k][x * len(inputs) + j];
+    # the next table is read back as its index, since a 1.0 or a True passes the check as table 1
+    moves = [[(states[step[x, y]], indices.index(meta[k, x, y])) for x, y in keys]
+             for k, step in enumerate(steps)]
+    emits, ny = [[outputs[emit[x]] for x in states] for emit in emits], len(inputs)
+    return _product(tuple(states), indices, tuple(inputs), tuple(outputs), lambda x, k, j: moves[k][x * ny + j],
                     lambda x, k: emits[k][x], "rule-switching wrapper")
 
 
@@ -347,9 +354,7 @@ def _recorder(states: tuple, inputs: tuple, outputs: tuple, boundary: str) -> Ob
 
     Each triple lists its waiting (or quiet) name, then its up name, then its down name.
     """
-    transition = {(x, y): x for x in states for y in inputs}
-    transition.update({(states[0], inputs[1]): states[1], (states[0], inputs[2]): states[2]})
-    return Observer(states, inputs, outputs, transition, dict(zip(states, outputs)), boundary)
+    return Observer._of_rows(states, inputs, outputs, ((0, 1, 2), (1, 1, 1), (2, 2, 2)), (0, 1, 2), boundary)
 
 
 def run_lab_script(spin: str = "up") -> LabScriptRun:

@@ -15,8 +15,10 @@ in the package is a ``_Record``, which stores a mapping field as a
 read-only ``types.MappingProxyType`` view of a private copy.  ``Observer``
 and ``Environment`` check their sets and label transition in one routine,
 ``_machine``: ``_index`` checks and indexes each set in one pass, and
-``check_total`` the transition, cut into int rows ``f``.  The loop runs on
-those and ``Observer.g`` alone, joined by two index maps the coupled
+``check_total`` the transition, cut into int rows ``f``.  A machine
+derived from checked ones (a stack, a quotient, a CA block) enters through
+``Observer._of_rows``, from its int rows, unchecked.  The loop runs on
+``f`` and ``Observer.g`` alone, joined by two index maps the coupled
 system derives once; labels are looked up only for what callers get back.
 """
 
@@ -188,7 +190,7 @@ class _Record:
             raise TypeError(f"{name}() takes {', '.join(fields)}; got surplus, repeated or unknown arguments")
         return values
 
-    def _assign(self, **values) -> None:  # for __post_init__ only
+    def _assign(self, **values) -> None:  # for __post_init__, and builders that skip __init__
         for name, value in values.items():
             _set(self, name, MappingProxyType(value) if type(value) is dict else value)
 
@@ -242,6 +244,17 @@ class Observer(_Record):
         _of_type(self.boundary, str, "boundary must be a string")
         self._assign(f=f, g=tuple([zi[output_map[x]] for x in self.states]), state_index=si, input_index=yi)
 
+    @classmethod
+    def _of_rows(cls, states: tuple, inputs: tuple, outputs: tuple, f: tuple, g: tuple, boundary: str) -> Observer:
+        """The observer with int rows ``f`` (tuples) and ``g``, unchecked: rows built right from checked ones."""
+        obs = cls.__new__(cls)  # attributes in __init__'s order, label views state-major: the same value
+        obs._assign(states=states, inputs=inputs, outputs=outputs,
+                    transition={(x, y): states[t] for x, row in zip(states, f) for y, t in zip(inputs, row)},
+                    output_map=dict(zip(states, [outputs[k] for k in g])), boundary=boundary, f=f, g=g,
+                    state_index={x: i for i, x in enumerate(states)},
+                    input_index={y: j for j, y in enumerate(inputs)})
+        return obs
+
     def step(self, state: Ident, received: Ident) -> Ident:
         """Next internal state after sensing ``received`` in ``state``."""
         i = _locate(self.state_index, state, "state")
@@ -268,8 +281,8 @@ class Environment(_Record):
     environment state; ``observation`` maps each environment state to the
     reading it offers the observer.  ``f[i][j]`` is the index of the state
     that state i moves to on action j, ``readings[i]`` is the reading
-    state i offers, and ``state_index`` maps each state to its index; like
-    ``Observer``'s, they are derived, not fields.
+    state i offers, and ``state_index`` and ``action_index`` index the states
+    and the actions; like ``Observer``'s, they are derived, not fields.
     """
 
     states: tuple[Ident, ...]
@@ -279,15 +292,15 @@ class Environment(_Record):
     _compare = ("states", "actions", "f", "readings")
 
     def __post_init__(self) -> None:
-        (si, _), f = _machine("environment transition", self.transition, ("environment states", self.states),
-                              ("actions", self.actions))
+        (si, ai), f = _machine("environment transition", self.transition, ("environment states", self.states),
+                               ("actions", self.actions))
         observation = check_total("observation map", self.observation, self.states)
         readings = tuple([observation[s] for s in self.states])
         try:
             hash(readings)
         except TypeError:
             raise DefinitionError(f"observation map must hold hashable readings, got {readings!r}") from None
-        self._assign(f=f, readings=readings, state_index=si)
+        self._assign(f=f, readings=readings, state_index=si, action_index=ai)
 
     def observe(self, state: Ident) -> Ident:
         return _locate(self.observation, state, "environment state")
@@ -351,9 +364,8 @@ class CoupledSystem(_Record):
         if stray:
             raise IncompatibleAlphabetsError("observer actions the environment does not accept: "
                                              f"{sorted(map(repr, stray))}")
-        actions = _index("actions", env.actions)
         self._assign(_sense=tuple([obs.input_index[y] for y in env.readings]),
-                     _act=tuple([actions[z] for z in obs.outputs]))
+                     _act=tuple([env.action_index[z] for z in obs.outputs]))
 
     def _walk(self, joint: JointState) -> Iterator[tuple[int, int]]:
         """Index pairs (x, s) the loop visits from ``joint`` on; the first ``next`` checks ``joint``."""

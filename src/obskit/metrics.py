@@ -17,7 +17,6 @@ from collections.abc import Callable, Sequence
 
 from .core import _DIGITS, CoupledSystem, JointState, Observer, _integer, _items, _of_type, _Record
 from .errors import CapExceededError, DefinitionError, IdentifierError, NumericalError
-from .morphism import _quotient
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -42,6 +41,7 @@ def complexity(obs: Observer) -> ComplexityReport:
     machine gives the complexity ln of the reduced product; redundancy is
     the difference.  Relabeled observers get bit-identical reports.
     """
+    from .morphism import _quotient  # only this function needs it, so `obskit hit` and `adapt` do not load it
     sizes = tuple(map(len, _quotient(obs)[1:]))
     raw = math.log(len(obs.states) * len(obs.inputs) * len(obs.outputs))
     kept = math.log(math.prod(sizes))

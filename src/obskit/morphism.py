@@ -6,9 +6,9 @@ two observers differ only by relabeling, and that relation is an
 equivalence.  This module checks morphisms, searches for isomorphisms,
 partitions observer collections into equivalence classes, and computes the
 behavioral quotient that drives the redundancy metric.  The quotient is
-computed once, on the int tables (``_quotient``); ``minimize`` names it with
-labels, and callers that need only its sizes (``complexity``,
-``canonical_invariants``) read them there, building no machine.
+computed once, on the int tables (``_quotient``); ``minimize`` builds its
+machine from int rows, and callers that need only its sizes
+(``complexity``, ``canonical_invariants``) read them there, building none.
 """
 
 from __future__ import annotations
@@ -45,20 +45,13 @@ class ObserverMorphism(_Record):
         """Componentwise inverse; only defined for bijective morphisms."""
         if not self.bijective:
             raise MorphismShapeError("cannot invert a non-bijective morphism")
-        return ObserverMorphism(
-            state_map={v: k for k, v in self.state_map.items()},
-            input_map={v: k for k, v in self.input_map.items()},
-            output_map={v: k for k, v in self.output_map.items()},
-        )
+        maps = self.state_map, self.input_map, self.output_map
+        return ObserverMorphism(*[{v: k for k, v in m.items()} for m in maps])
 
 
 def identity_morphism(obs: Observer) -> ObserverMorphism:
     _of_type(obs, Observer, "expected an Observer")
-    return ObserverMorphism(
-        state_map={x: x for x in obs.states},
-        input_map={y: y for y in obs.inputs},
-        output_map={z: z for z in obs.outputs},
-    )
+    return ObserverMorphism(*[{x: x for x in items} for items in (obs.states, obs.inputs, obs.outputs)])
 
 
 class MorphismCheck(_Record):
@@ -360,18 +353,14 @@ def minimize(obs: Observer) -> tuple[Observer, BehavioralPartition, ObserverMorp
     """
     block, blocks, groups, emitted = _quotient(obs)
     f, g, states, inputs, outputs = obs.f, obs.g, obs.states, obs.inputs, obs.outputs
-    name = [states[blocks[b][0]] for b in block]  # each state's block, by its first member
     kept_states, kept_inputs = [members[0] for members in blocks], [members[0] for members in groups]
-    quotient = Observer(
-        states=tuple(states[i] for i in kept_states),
-        inputs=tuple(inputs[j] for j in kept_inputs),
-        outputs=tuple(outputs[k] for k in sorted(emitted)),
-        transition={(states[i], inputs[j]): name[f[i][j]] for i in kept_states for j in kept_inputs},
-        output_map={states[i]: outputs[g[i]] for i in kept_states},
-        boundary=obs.boundary,
-    )
+    rank = {k: n for n, k in enumerate(sorted(emitted))}  # each kept output's index in the quotient
+    quotient = Observer._of_rows(tuple([states[i] for i in kept_states]), tuple([inputs[j] for j in kept_inputs]),
+                                 tuple([outputs[k] for k in rank]),
+                                 tuple([tuple([block[f[i][j]] for j in kept_inputs]) for i in kept_states]),
+                                 tuple([rank[g[i]] for i in kept_states]), obs.boundary)
     quotient_map = ObserverMorphism(
-        state_map={states[i]: name[i] for members in blocks for i in members},
+        state_map={states[i]: quotient.states[b] for b, members in enumerate(blocks) for i in members},
         input_map={inputs[j]: inputs[members[0]] for members in groups for j in members},
         output_map={z: (z if k in emitted else quotient.outputs[0]) for k, z in enumerate(outputs)},
     )

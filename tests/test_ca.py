@@ -27,6 +27,7 @@ from obskit.core import Observer
 from obskit.errors import DefinitionError, EncodingError, ObskitError
 
 from conftest import block_observer_oracle, eca_oracle_run, embedded_oracle_run
+from test_composition import assert_built_alike
 
 RULE_110_TABLE = {
     (1, 1, 1): 0,
@@ -373,9 +374,7 @@ def test_block_observers_match_their_two_step_construction():
         for k in range(1, 5):
             for built, oracle in ((transparent_observer(rule, k), block_observer_oracle(number, k)),
                                   (damping_observer(rule, k), block_observer_oracle(number, k, damping=True))):
-                assert built == oracle and built.boundary == oracle.boundary
-                assert list(built.transition.items()) == list(oracle.transition.items())
-                assert list(built.output_map.items()) == list(oracle.output_map.items())
+                assert_built_alike(built, oracle)
 
 
 def test_a_block_names_the_width_it_read():

@@ -406,6 +406,12 @@ def test_start_up_loads_only_the_modules_a_call_runs():
     assert loaded_after("import obskit.cli") == "['obskit', 'obskit.cli', 'obskit.errors']"
     bare_ca = dispatching("ca", "--rule", "110", "--width", "15", "--steps", "10", "--init", "single")
     assert loaded_after(bare_ca) == "['obskit', 'obskit.ca', 'obskit.cli', 'obskit.core', 'obskit.errors']"
+    # neither loads obskit.morphism, which only complexity, equiv and minimize run
+    hit = dispatching("hit", "--chain", CHAIN2, "--start", "0", "--goal", "1")
+    assert loaded_after(hit) == "['json', 'obskit', 'obskit.cli', 'obskit.core', 'obskit.errors', 'obskit.metrics']"
+    adapt = dispatching("adapt", "--observer", THERMO, "--env", FLIP, "--init", "OFF,Cold")
+    assert loaded_after(adapt) == ("['json', 'obskit', 'obskit.cli', 'obskit.core', 'obskit.documents', "
+                                   "'obskit.errors', 'obskit.metrics']")
 
 
 def test_every_exported_name_resolves_to_its_module_attribute():

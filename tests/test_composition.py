@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import gc
+import pickle
 import random
 import sys
 import threading
 import time
 import weakref
+from collections.abc import Mapping
 from itertools import product
 
 import pytest
 
+from obskit import composition
 from obskit.composition import (
     FactLedger,
     MetaRegistry,
@@ -129,11 +132,22 @@ def test_drop_image_must_be_a_lower_output():
         stack(thermostat(), supervisor(), Wiring(lift=lift, drop=drop))
 
 
+def layout(obs: Observer) -> list:
+    """Every attribute of ``obs`` with its name, in order; a table as its items, in iteration order."""
+    return [(name, list(v.items()) if isinstance(v, Mapping) else v) for name, v in vars(obs).items()]
+
+
 def assert_built_alike(built: Observer, oracle: Observer) -> None:
-    """Equal observers whose label tables also iterate in the same order."""
+    """Equal observers whose label tables also iterate in the same order; and ``built``, which a
+    builder made from int rows, is indistinguishable from its rebuild through the checked
+    constructor and from its pickle round trip."""
     assert built == oracle and built.boundary == oracle.boundary
     assert list(built.transition.items()) == list(oracle.transition.items())
     assert list(built.output_map.items()) == list(oracle.output_map.items())
+    rebuilt = Observer(built.states, built.inputs, built.outputs, built.transition, built.output_map, built.boundary)
+    for twin in (rebuilt, pickle.loads(pickle.dumps(built))):
+        assert twin == built and hash(twin) == hash(built) and repr(twin) == repr(built)
+        assert layout(twin) == layout(built)
 
 
 def test_stack_matches_the_label_table_oracle_on_random_machines():
@@ -253,6 +267,32 @@ def test_non_integer_meta_update_is_a_construction_error():
     meta[(1, "ON", "Hot")] = "a"
     with pytest.raises(DefinitionError):
         second_order_wrap(base.states, base.inputs, base.outputs, RuleFamily((straight, inverted), meta))
+
+
+def test_stack_and_wrapper_checks_run_in_order_before_any_row_is_built():
+    # a lift that is not total is reported before a drop into an unknown lower output
+    drop = {"note_ok": "Explode", "note_hot": "HeaterOff"}
+    with pytest.raises(WiringError, match=r"^lift is not total, missing 'HeaterOn'$"):
+        stack(thermostat(), supervisor(), Wiring({"HeaterOff": "saw_off"}, drop))
+    # every table's transition is checked before any output map, and every output map before meta_update
+    base = thermostat()
+    straight = RuleTable(base.transition, base.output_map)
+    bad_step = RuleTable({**base.transition, ("OFF", "Cold"): "NOWHERE"}, base.output_map)
+    bad_emit = RuleTable(base.transition, {**base.output_map, "ON": "Smoke"})
+    bad_meta = {(k, x, y): 2 for k in (0, 1) for x in base.states for y in base.inputs}
+    for tables, expected in (((bad_step, bad_emit), r"table 0 transition\[\('OFF', 'Cold'\)\] = 'NOWHERE'"),
+                             ((straight, bad_emit), r"table 1 output_map\['ON'\] = 'Smoke'")):
+        with pytest.raises(DefinitionError, match=rf"^{expected} is not a declared target$"):
+            second_order_wrap(base.states, base.inputs, base.outputs, RuleFamily(tables, bad_meta))
+
+
+def test_a_meta_update_value_equal_to_a_table_index_selects_that_table():
+    base = thermostat()
+    keys = [(k, x, y) for k in (0, 1) for x in base.states for y in base.inputs]
+    families = [RuleFamily(therm_tables(), dict.fromkeys(keys, one)) for one in (1, 1.0, True)]
+    built = [second_order_wrap(base.states, base.inputs, base.outputs, family) for family in families]
+    for other in built[1:]:
+        assert_built_alike(other, built[0])
 
 
 # -- well-foundedness ---------------------------------------------------------------
@@ -563,3 +603,20 @@ def test_lab_script_result_is_pinned(spin, reading, insider_state, seen, outside
         f"FactEntry(observer_id='outsider', step=5, received='{seen}', state='{outsider_state}'))), "
         "insider_id='insider', outsider_id='outsider', measurement_step=1, read_step=5)"
     )
+
+
+def test_the_lab_recorders_match_their_label_tables(monkeypatch):
+    recorder, built = composition._recorder, []
+
+    def recording(*args):
+        built.append((args, recorder(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(composition, "_recorder", recording)
+    run_lab_script("down")
+    assert len(built) == 2
+    for (states, inputs, outputs, boundary), obs in built:
+        # the waiting state takes the up or the down input to the up or the down state; all else stays put
+        transition = {(x, y): x for x in states for y in inputs}
+        transition.update({(states[0], inputs[1]): states[1], (states[0], inputs[2]): states[2]})
+        assert_built_alike(obs, Observer(states, inputs, outputs, transition, dict(zip(states, outputs)), boundary))

@@ -32,6 +32,7 @@ from conftest import (
     random_observer,
     relabeled,
 )
+from test_composition import assert_built_alike
 
 
 def constant_output_observer() -> Observer:
@@ -484,6 +485,24 @@ def _oracle_corpus():
     for _ in range(600):
         yield random_observer(rng, sizes=(rng.randint(1, 8), rng.randint(1, 3), rng.randint(1, 3)))
     yield from _adversarial_observers()
+
+
+def _quotient_oracle(obs: Observer, blocks: tuple[tuple, ...]) -> Observer:
+    """The quotient ``minimize`` documents, built on labels from the oracle's blocks: every block, every
+    group of inputs with equal columns of blocks, and every emitted output is kept by its first member."""
+    first = {x: block[0] for block in blocks for x in block}
+    groups: dict[tuple, str] = {}
+    for y in obs.inputs:
+        groups.setdefault(tuple(first[obs.transition[(x, y)]] for x in obs.states), y)
+    states, inputs, emitted = tuple(b[0] for b in blocks), tuple(groups.values()), set(obs.output_map.values())
+    return Observer(states, inputs, tuple(z for z in obs.outputs if z in emitted),
+                    {(x, y): first[obs.transition[(x, y)]] for x in states for y in inputs},
+                    {x: obs.output_map[x] for x in states}, obs.boundary)
+
+
+def test_minimize_builds_the_label_quotient_of_the_moore_blocks():
+    for obs in (thermostat(), redundant_observer(), *_oracle_corpus()):
+        assert_built_alike(minimize(obs)[0], _quotient_oracle(obs, behavioral_partition_oracle(obs)))
 
 
 def test_minimize_complexity_and_invariants_match_the_moore_oracle():
