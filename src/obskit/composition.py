@@ -147,11 +147,15 @@ def check_well_founded(
     carries one offending cycle, listed in traversal order.
     """
     if meta_graph is None:
-        meta_graph = (registry or _default_registry).graph()
+        registry = _default_registry if registry is None else registry
+        meta_graph = _of_type(registry, MetaRegistry, "registry must be a MetaRegistry").graph()
     _of_type(meta_graph, Mapping, "meta_graph must be a mapping")
     # read each value once: an iterator read twice would come back empty
     graph = {node: _items(targets, "each meta_graph value") for node, targets in meta_graph.items()}
-    nodes = dict.fromkeys(chain(graph, chain.from_iterable(graph.values())))
+    try:
+        nodes = dict.fromkeys(chain(graph, chain.from_iterable(graph.values())))
+    except TypeError:
+        raise DefinitionError(f"meta_graph must hold hashable nodes, got {meta_graph!r}") from None
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = dict.fromkeys(nodes, WHITE)
@@ -199,6 +203,8 @@ def stack(lower: Observer, upper: Observer, wiring: Wiring,
     _of_type(lower, Observer, "lower must be an Observer")
     _of_type(upper, Observer, "upper must be an Observer")
     _of_type(wiring, Wiring, "wiring must be a Wiring")
+    registry = _default_registry if registry is None else registry
+    _of_type(registry, MetaRegistry, "registry must be a MetaRegistry")
     lift = check_total("lift", wiring.lift, lower.outputs, upper.inputs, WiringError)
     drop = None if wiring.drop is None else check_total(
         "drop", wiring.drop, upper.outputs, lower.outputs, WiringError)
@@ -215,10 +221,9 @@ def stack(lower: Observer, upper: Observer, wiring: Wiring,
     emit = (lambda l, r: gl[l]) if drop is None else (lambda l, r: drop[gu[r]])
     composite = _product(lower.states, upper.states, lower.inputs, lower.outputs, step, emit,
                          f"stack({lower.boundary or 'lower'} < {upper.boundary or 'upper'})")
-    reg = registry or _default_registry
-    reg.register_edge(upper, lower)
-    reg.register_edge(composite, lower)
-    reg.register_edge(composite, upper)
+    registry.register_edge(upper, lower)
+    registry.register_edge(composite, lower)
+    registry.register_edge(composite, upper)
     return composite
 
 

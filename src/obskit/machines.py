@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import Environment, Observer
+from .core import Environment, Observer, _items
 from .errors import DefinitionError
 
 
@@ -68,7 +68,7 @@ def scripted_environment(readings, actions) -> Environment:
     observer an open-loop input word is then the closed-loop run against
     this environment.
     """
-    readings = tuple(readings)
+    readings, actions = _items(readings, "readings"), _items(actions, "actions")
     if not readings:
         raise DefinitionError("the scripted word must not be empty")
     states = tuple(f"w{i}" for i in range(len(readings)))
@@ -78,4 +78,4 @@ def scripted_environment(readings, actions) -> Environment:
         for a in actions
     }
     observation = {states[i]: readings[i] for i in range(len(states))}
-    return Environment(states, tuple(actions), transition, observation)
+    return Environment(states, actions, transition, observation)

@@ -37,7 +37,13 @@ from obskit.errors import (
     IncompatibleAlphabetsError,
     WiringError,
 )
-from obskit.machines import constant_environment, flip_environment, redundant_observer, thermostat
+from obskit.machines import (
+    constant_environment,
+    flip_environment,
+    redundant_observer,
+    scripted_environment,
+    thermostat,
+)
 from obskit.metrics import adaptation_time, expected_hitting_time
 from obskit.morphism import equivalence_partition, identity_morphism
 
@@ -356,12 +362,19 @@ def test_a_collection_argument_that_is_not_iterable_is_a_definition_error(call, 
     (lambda system: validate_minimal(5, [("OFF", "Cold")]), "system must be a CoupledSystem"),
     (lambda system: parse_observer(5), "a document must be str or bytes"),
     (lambda system: parse_environment(5), "a document must be str or bytes"),
+    (lambda system: check_well_founded({1: [[2]]}), "meta_graph must hold hashable nodes"),
+    (lambda system: check_well_founded(registry=5), "registry must be a MetaRegistry"),
+    (lambda system: stack(thermostat(), thermostat(), Wiring({"HeaterOff": "Cold", "HeaterOn": "Hot"}), registry=5),
+     "registry must be a MetaRegistry"),
+    (lambda system: scripted_environment(None, ("HeaterOff",)), "readings must be iterable"),
+    (lambda system: scripted_environment(["Cold"], None), "actions must be iterable"),
 ], ids=["stack-upper-str", "stack-lower-none", "stack-wiring-int", "record-fact-none", "facts-none", "well-founded-int",
         "well-founded-value-int", "serialize-observer-none", "serialize-environment-none", "render-text-int",
         "pbm-int", "render-text-row-int", "pbm-row-int", "respond-int", "adapt-goal-str", "observer-unhashable-state",
         "observer-boundary-int", "observer-boundary-none", "environment-unhashable-reading", "wrap-states-int",
         "wrap-family-int", "rule-family-table-int", "record-fact-step-str", "facts-step-str", "adapt-system-int",
-        "minimal-system-int", "parse-observer-int", "parse-environment-int"])
+        "minimal-system-int", "parse-observer-int", "parse-environment-int", "well-founded-unhashable-node",
+        "well-founded-registry-int", "stack-registry-int", "scripted-readings-none", "scripted-actions-none"])
 def test_an_argument_of_the_wrong_kind_is_a_definition_error(call, message):
     system = CoupledSystem(thermostat(), flip_environment())
     with pytest.raises(DefinitionError, match=f"^{message}, got "):

@@ -31,8 +31,6 @@ from obskit.metrics import (
     GOAL_REACHED,
     GOAL_UNREACHABLE,
     TRANSIENT_TO_CYCLE,
-    _numpy_hitting_time,
-    _stdlib_hitting_time,
     adaptation_time,
     complexity,
     expected_hitting_time,
@@ -394,7 +392,19 @@ def test_an_integer_too_large_for_a_float_is_a_definition_error(n):
 
 # -- the stdlib and numpy solve paths -------------------------------------------------
 
-SOLVERS = [pytest.param(_stdlib_hitting_time, id="stdlib"), pytest.param(_numpy_hitting_time, id="numpy")]
+SIDES = {"stdlib": 10**9, "numpy": 0}  # a size cutoff that sends every chain to that side
+
+
+def forced(side: str):
+    """``expected_hitting_time`` with every chain converted, checked and solved on ``side``."""
+    def solve(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_STDLIB_STATES", SIDES[side])
+            return expected_hitting_time(*args)
+    return solve
+
+
+SOLVERS = [pytest.param(forced(side), id=side) for side in SIDES]
 
 
 @functools.cache
@@ -415,15 +425,31 @@ def test_each_solve_path_matches_the_exact_oracle_on_both_sides_of_the_cutoff(so
     assert math.isclose(solve(rows, start, goal), exact, rel_tol=1e-9)
 
 
+def path_chain(n: int) -> list[list[float]]:
+    """State i moves to i + 1, and the last state is absorbing: every state up to n - 2 reaches the solve."""
+    return [[float(j == min(i + 1, n - 1)) for j in range(n)] for i in range(n)]
+
+
 def test_the_public_call_takes_the_stdlib_path_up_to_64_states(monkeypatch):
-    monkeypatch.setattr(metrics, "_stdlib_hitting_time", lambda *args: "stdlib")
-    monkeypatch.setattr(metrics, "_numpy_hitting_time", lambda *args: "numpy")
-    for n, path in ((1, "stdlib"), (64, "stdlib"), (65, "numpy"), (800, "numpy")):
-        assert expected_hitting_time([[1.0] * n] * n, 0, [0]) == path
-    assert expected_hitting_time(iter([[1.0]]), 0, [0]) == "stdlib"
+    monkeypatch.setattr(metrics, "_eliminate", lambda P, region: ["eliminate"] * len(region))
+    monkeypatch.setattr(metrics, "_lu", lambda P, region: ["lu"] * len(region))
+    for n, kernel in ((2, "eliminate"), (64, "eliminate"), (65, "lu"), (800, "lu")):
+        assert expected_hitting_time(path_chain(n), 0, [n - 1]) == kernel
+    assert expected_hitting_time(iter(path_chain(3)), 0, [2]) == "eliminate"
+    monkeypatch.undo()
+    assert [expected_hitting_time(path_chain(n), 0, [n - 1]) for n in (64, 65)] == [63.0, 64.0]
 
 
 THREE = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
+
+
+def with_entry(n: int, entry) -> list:
+    """``path_chain(n)`` with ``entry`` at (0, 0); a one-item list makes every entry such a list."""
+    matrix = path_chain(n)
+    if isinstance(entry, list) and len(entry) == 1:
+        matrix = [[[p] for p in row] for row in matrix]
+    matrix[0][0] = entry
+    return matrix
 
 
 @pytest.mark.parametrize("matrix, start, goal", [
@@ -447,12 +473,16 @@ THREE = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
     pytest.param([[0.5, 0.5], [0.0, 1.0]], 1, [1], id="start-in-goal"),
     pytest.param([[1.0, 0.0], [0.0, 1.0]], 0, [1], id="unreachable-goal"),
     pytest.param([[0, 1, 0], [0, 1, 0], [0, 0, 1]], 0, [1], id="unreachable-absorbing-state"),
+    # numpy used to read None as NaN and equal-length sequences as a third axis, whatever the size
+    *(pytest.param(with_entry(n, entry), 0, [n - 1], id=f"{name}-entry-{n}") for n in (2, 70)
+      for name, entry in (("none", None), ("equal-length-sequence", [0.5]), ("unequal-length-sequence", [0.5, 0.5]))),
 ])
 def test_both_solve_paths_give_the_same_value_or_the_same_error(matrix, start, goal):
     outcomes = []
-    for solve in (_stdlib_hitting_time, _numpy_hitting_time):
+    for solve in (*map(forced, SIDES), expected_hitting_time):
         try:
             outcomes.append(solve(matrix, start, goal))
         except ObskitError as exc:
             outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
