@@ -34,7 +34,7 @@ from itertools import product
 from types import MappingProxyType
 
 from .core import _DIGITS, Observer, Trace, TraceRecord, _integer, _items, _of_type, _Record
-from .errors import DefinitionError, EncodingError
+from .errors import DefinitionError, EncodingError, _shown
 
 Bits = tuple[int, ...]
 
@@ -51,7 +51,7 @@ class CARule(_Record):
 
     def __post_init__(self) -> None:
         if not isinstance(self.number, int) or not 0 <= self.number <= 255:
-            raise DefinitionError(f"rule number must be in 0..255, got {self.number!r}")
+            raise DefinitionError(f"rule number must be in 0..255, got {_shown(self.number)}")
 
     @property
     def table(self) -> MappingProxyType:
@@ -59,7 +59,10 @@ class CARule(_Record):
         return MappingProxyType({abc: (self.number >> i) & 1 for abc, i in _BIT.items()})
 
     def __call__(self, left: int, center: int, right: int) -> int:
-        return (self.number >> _BIT[(left, center, right)]) & 1
+        try:
+            return (self.number >> _BIT[(left, center, right)]) & 1
+        except (KeyError, TypeError):
+            raise DefinitionError(f"a neighborhood must be three bits, got {_shown((left, center, right))}") from None
 
 
 def rule_table(number: int) -> CARule:
@@ -109,7 +112,7 @@ def _check_cells(cells) -> Bits:
     try:
         cells = tuple(cells)
     except TypeError:
-        raise DefinitionError(f"lattice must be an iterable of bits, got {cells!r}") from None
+        raise DefinitionError(f"lattice must be an iterable of bits, got {_shown(cells)}") from None
     if len(cells) < 3:
         raise DefinitionError("lattice width must be at least 3")
     if cells.count(0) + cells.count(1) != len(cells):

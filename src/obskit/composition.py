@@ -8,9 +8,11 @@ as it runs; ``_product`` builds both on index pairs of states, through
 ``Observer._of_rows``.  ``stack`` records who-watches-whom edges in a meta
 registry that refuses to become cyclic and holds observers only weakly,
 forgetting them once they are collected; ``check_well_founded`` tests
-arbitrary observation graphs.  ``FactLedger`` keeps the observer-relative
-record of which interactions crossed which boundary, exercised end to end
-by the bundled two-observer lab script.
+arbitrary observation graphs with the same depth-first search, ``_cycle``,
+which the registry runs only on an edge that can close a cycle.
+``FactLedger`` keeps the observer-relative record of which interactions
+crossed which boundary, exercised end to end by the bundled two-observer
+lab script.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     LedgerOrderError,
     MetaCycleError,
     WiringError,
+    _shown,
 )
 
 
@@ -93,25 +96,17 @@ class MetaRegistry:
     def register_edge(self, watcher, watched) -> None:
         """Record that ``watcher`` observes/modifies ``watched``; fail closed.
 
-        The graph is acyclic, so the edge closes a cycle exactly when
-        ``watched`` already reaches ``watcher``; only that search runs.
+        The graph is acyclic, so a cycle must run through the new edge: ``watched`` is ``watcher``,
+        or ``watcher`` has a watcher and ``watched`` watches something.  Only then does the search of
+        ``check_well_founded``, ``_cycle``, run, from ``watcher``, with ``watched`` its one successor.
         """
         with self._lock:
             self._forget_dead()
             a, b = id(watcher), id(watched)
-            reached = {b: None}  # node -> the node the search reached it from
-            todo = [b]
-            while todo:
-                node = todo.pop()
-                for nxt in self._watches.get(node, ()):
-                    if nxt not in reached:
-                        reached[nxt] = node
-                        todo.append(nxt)
-            if a in reached:
-                path = [a]
-                while path[-1] != b:
-                    path.append(reached[path[-1]])
-                raise MetaCycleError(f"edge would close an observation cycle: {tuple(path[::-1])!r}")
+            if a == b or self._watchers.get(a) and self._watches.get(b):
+                cycle = _cycle(self._watches, a, (b,))
+                if cycle:
+                    raise MetaCycleError(f"edge would close an observation cycle: {tuple(cycle)!r}")
             self._watches[self._node(watcher)][self._node(watched)] = None
             self._watchers[b][a] = None
 
@@ -155,30 +150,31 @@ def check_well_founded(
     try:
         nodes = dict.fromkeys(chain(graph, chain.from_iterable(graph.values())))
     except TypeError:
-        raise DefinitionError(f"meta_graph must hold hashable nodes, got {meta_graph!r}") from None
+        raise DefinitionError(f"meta_graph must hold hashable nodes, got {_shown(meta_graph)}") from None
 
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = dict.fromkeys(nodes, WHITE)
+    cycle = _cycle(graph, object(), nodes)  # a fresh origin, whose successors are all the nodes
+    return WellFoundedReport(not cycle, cycle)
 
-    for root in nodes:
-        if color[root] != WHITE:
-            continue
-        color[root] = GREY
-        frames = [(root, iter(graph.get(root, ())))]
-        while frames:
-            node, it = frames[-1]
-            for nxt in it:
-                if color[nxt] == GREY:
-                    path = [n for n, _ in frames]
-                    return WellFoundedReport(False, tuple(path[path.index(nxt):]))
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    frames.append((nxt, iter(graph.get(nxt, ()))))
-                    break
-            else:
-                color[node] = BLACK
-                frames.pop()
-    return WellFoundedReport(True, None)
+
+def _cycle(graph: Mapping, origin, successors: Iterable) -> list | None:
+    """The first cycle a depth-first search along ``graph`` meets from ``origin``, taking ``successors``
+    for its successors, listed from its first node in traversal order; None when there is none."""
+    on_path = {origin: True}  # each node met: True while the search is below it, then False
+    path, todo = [origin], [iter(successors)]  # the nodes on the path, and the successors each has left
+    while todo:
+        for nxt in todo[-1]:
+            met = on_path.get(nxt)
+            if met is None:
+                on_path[nxt] = True
+                path.append(nxt)
+                todo.append(iter(graph.get(nxt, ())))
+                break
+            if met:
+                return path[path.index(nxt):]
+        else:
+            on_path[path.pop()] = False
+            todo.pop()
+    return None
 
 
 def _product(left, right, inputs, outputs, step, emit, boundary: str) -> Observer:
@@ -311,7 +307,7 @@ def record_fact(
     step = _integer(step, "step")
     if last is not None and step < last:
         raise LedgerOrderError(
-            f"step {step} precedes already recorded step {last} for {observer_id!r}"
+            f"step {step} precedes already recorded step {last} for {_shown(observer_id)}"
         )
     return FactLedger(ledger.entries + (FactEntry(observer_id, step, received, state),))
 

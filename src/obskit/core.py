@@ -29,7 +29,7 @@ from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
 from itertools import islice, pairwise
 from types import MappingProxyType
 
-from .errors import DefinitionError, IdentifierError, IncompatibleAlphabetsError
+from .errors import DefinitionError, IdentifierError, IncompatibleAlphabetsError, _shown
 
 Ident = Hashable
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0 and 1 bytes to binary digits, to pack bits into an int
@@ -38,7 +38,7 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0 and 1 bytes to binary digits, to 
 def _of_type(value, cls: type, claim: str):
     """``value``, if it is a ``cls``; otherwise a DefinitionError stating ``claim``."""
     if not isinstance(value, cls):
-        raise DefinitionError(f"{claim}, got {value!r}")
+        raise DefinitionError(f"{claim}, got {_shown(value)}")
     return value
 
 
@@ -47,7 +47,7 @@ def _integer(value, what: str, least: int | None = None) -> int:
     try:
         number = operator.index(value)
     except TypeError:
-        raise DefinitionError(f"{what} must be an integer, got {value!r}") from None
+        raise DefinitionError(f"{what} must be an integer, got {_shown(value)}") from None
     if least is not None and number < least:
         raise DefinitionError(f"{what} must be {f'at least {least}' if least else 'non-negative'}")
     return number
@@ -58,7 +58,7 @@ def _items(value, what: str) -> tuple:
     try:
         items = iter(value)
     except TypeError:
-        raise DefinitionError(f"{what} must be iterable, got {value!r}") from None
+        raise DefinitionError(f"{what} must be iterable, got {_shown(value)}") from None
     return tuple(items)
 
 
@@ -67,7 +67,7 @@ def _locate(index: Mapping, label, what: str):
     try:
         return index[label]
     except (KeyError, TypeError):
-        raise IdentifierError(f"unknown {what} {label!r}") from None
+        raise IdentifierError(f"unknown {what} {_shown(label)}") from None
 
 
 def check_total(label: str, mapping: Mapping, domain: Collection,
@@ -83,7 +83,7 @@ def check_total(label: str, mapping: Mapping, domain: Collection,
     missing = [k for k in domain if k not in mapping]
     if len(mapping) + len(missing) != len(domain):
         stray = set(mapping).difference(domain)
-        raise error(f"{label} has entries outside its domain: {sorted(map(repr, stray))}")
+        raise error(f"{label} has entries outside its domain: {sorted(map(_shown, stray))}")
     if codomain is not None:
         allowed = set(codomain)
         try:
@@ -97,9 +97,9 @@ def check_total(label: str, mapping: Mapping, domain: Collection,
                         continue
                 except TypeError:
                     pass
-                raise error(f"{label}[{k!r}] = {v!r} is not a declared target")
+                raise error(f"{label}[{_shown(k)}] = {_shown(v)} is not a declared target")
     if missing:
-        raise (incomplete or error)(f"{label} is not total, missing {missing[0]!r}")
+        raise (incomplete or error)(f"{label} is not total, missing {_shown(missing[0])}")
     return mapping
 
 
@@ -111,9 +111,9 @@ def _index(label: str, items) -> dict[Ident, int]:
     try:
         index = {item: i for i, item in enumerate(out)}
     except TypeError:
-        raise DefinitionError(f"{label} must hold hashable identifiers, got {out!r}") from None
+        raise DefinitionError(f"{label} must hold hashable identifiers, got {_shown(out)}") from None
     if len(index) != len(out):
-        raise DefinitionError(f"duplicate identifiers in {label}: {out!r}")
+        raise DefinitionError(f"duplicate identifiers in {label}: {_shown(out)}")
     return index
 
 
@@ -174,7 +174,7 @@ class _Record:
                 _set(self, field, None if args[i] is None and optional else self._stores[kind](args[i]))
             except (TypeError, ValueError):
                 raise DefinitionError(f"{type(self).__qualname__}.{field} cannot be stored as a {kind}: "
-                                      f"{args[i]!r}") from None
+                                      f"{_shown(args[i])}") from None
         if self.__post_init__:
             self.__post_init__()
 
@@ -299,7 +299,7 @@ class Environment(_Record):
         try:
             hash(readings)
         except TypeError:
-            raise DefinitionError(f"observation map must hold hashable readings, got {readings!r}") from None
+            raise DefinitionError(f"observation map must hold hashable readings, got {_shown(readings)}") from None
         self._assign(f=f, readings=readings, state_index=si, action_index=ai)
 
     def observe(self, state: Ident) -> Ident:
@@ -359,11 +359,11 @@ class CoupledSystem(_Record):
         unknown = set(env.readings) - set(obs.inputs)
         if unknown:
             raise IncompatibleAlphabetsError("environment offers readings the observer cannot sense: "
-                                             f"{sorted(map(repr, unknown))}")
+                                             f"{sorted(map(_shown, unknown))}")
         stray = set(obs.outputs) - set(env.actions)
         if stray:
             raise IncompatibleAlphabetsError("observer actions the environment does not accept: "
-                                             f"{sorted(map(repr, stray))}")
+                                             f"{sorted(map(_shown, stray))}")
         self._assign(_sense=tuple([obs.input_index[y] for y in env.readings]),
                      _act=tuple([env.action_index[z] for z in obs.outputs]))
 
@@ -375,11 +375,11 @@ class CoupledSystem(_Record):
             i, e = obs.state_index.get(x), env.state_index.get(s)
         except (TypeError, ValueError):
             raise IdentifierError(f"a joint is an (observer state, environment state) pair, "
-                                  f"got {joint!r}") from None
+                                  f"got {_shown(joint)}") from None
         if i is None:
-            raise IdentifierError(f"unknown observer state {x!r}")
+            raise IdentifierError(f"unknown observer state {_shown(x)}")
         if e is None:
-            raise IdentifierError(f"unknown environment state {s!r}")
+            raise IdentifierError(f"unknown environment state {_shown(s)}")
         f, g, react, sense, act = obs.f, obs.g, env.f, self._sense, self._act
         while True:
             yield i, e

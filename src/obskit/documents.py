@@ -21,6 +21,7 @@ from .errors import (
     DocumentError,
     DocumentParseError,
     DocumentReferenceError,
+    _shown,
 )
 
 FORMAT_VERSION = "1"
@@ -49,7 +50,7 @@ def _table(doc: dict, name: str, domain: list, targets: tuple[str, ...],
     table = {}
     for key, value in raw.items():
         if not isinstance(value, str):
-            raise DocumentReferenceError(f"{name!r}[{key!r}] = {value!r} is not an identifier")
+            raise DocumentReferenceError(f"{name!r}[{key!r}] = {_shown(value)} is not an identifier")
         if key_form is not None:
             head, sep, tail = key.partition(",")
             if not sep:
@@ -87,7 +88,7 @@ def _read(text: str | bytes, layout: tuple) -> tuple:
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")
     if (version := doc.get("format_version")) != FORMAT_VERSION:
-        raise DocumentError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION!r}")
+        raise DocumentError(f"unsupported format_version {_shown(version)}, expected {FORMAT_VERSION!r}")
     states, symbols, emitted = [_identifier_array(doc, name) for name in arrays]
     pairs, key_form = [(x, y) for x in states for y in symbols], ",".join(name[:-1] for name in arrays[:2])
     return (doc, states, symbols, emitted, _table(doc, tables[0], pairs, states, key_form),
@@ -100,7 +101,7 @@ def _write(layout: tuple, arrays: tuple, transition, per_state, **rest) -> str:
     for name, items in zip(names, arrays):
         for item in items:
             if not isinstance(item, str) or not item or "," in item:
-                raise DocumentError(f"{name[:-1]} identifier {item!r} cannot be serialized: "
+                raise DocumentError(f"{name[:-1]} identifier {_shown(item)} cannot be serialized: "
                                     "documents need comma-free, non-empty strings")
     states, symbols, _ = arrays
     doc = dict(zip(names, map(list, arrays)), format_version=FORMAT_VERSION, **rest)

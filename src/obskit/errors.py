@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_shown``, which their messages show values with."""
+
+
+def _shown(value, show=repr) -> str:
+    """``show(value)``, or a placeholder when ``value`` nests too deeply for that to finish."""
+    try:
+        return show(value)
+    except RecursionError:
+        return f"<{type(value).__name__} nested too deeply to show>"
 
 
 class ObskitError(Exception):
@@ -54,7 +62,7 @@ class DocumentParseError(DocumentError):
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         if line is not None:
-            message = f"{message} (line {line}, column {column})"
+            message = f"{_shown(message, str)} (line {_shown(line, str)}, column {_shown(column, str)})"
         super().__init__(message)
         self.line = line
         self.column = column

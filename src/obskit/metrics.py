@@ -16,7 +16,7 @@ import operator
 from collections.abc import Callable, Sequence
 
 from .core import _DIGITS, CoupledSystem, JointState, Observer, _integer, _items, _of_type, _Record
-from .errors import CapExceededError, DefinitionError, IdentifierError, NumericalError
+from .errors import CapExceededError, DefinitionError, IdentifierError, NumericalError, _shown
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -77,7 +77,7 @@ def adaptation_time(
     it raises ``CapExceededError``.
     """
     if goal is not None and not callable(goal):
-        raise DefinitionError(f"goal must be callable, got {goal!r}")
+        raise DefinitionError(f"goal must be callable, got {_shown(goal)}")
     system = _of_type(system, CoupledSystem, "system must be a CoupledSystem")
     x, s = system.observer.states, system.environment.states
     cap = _integer(len(x) * len(s) + 1 if cap is None else cap, "cap", 1)
@@ -173,7 +173,7 @@ def _checked(rows: list, small: bool) -> tuple:
     """The rows as float lists (small) or a numpy array, and the positive entries as binary digits, row-major."""
     if small:
         P, flat = _floats(rows)
-        low, sums, digits = min(flat), map(math.fsum, P), bytes(map(bool, flat)).translate(_DIGITS)
+        low, sums, digits = min(flat), map(_fsum, P), bytes(map(bool, flat)).translate(_DIGITS)
     else:
         import numpy as np  # only a large chain needs numpy, so importing obskit does not load it
         try:
@@ -183,13 +183,23 @@ def _checked(rows: list, small: bool) -> tuple:
             numbers = False
         if not numbers:  # numpy reads None as NaN and sequences as an axis: name the entry as the small side does
             P = np.array(_floats(rows)[0])
-        low, sums, digits = P.min(), P.sum(axis=1).tolist(), ((P > 0.0).view(np.uint8) + ord("0")).tobytes()
+        with np.errstate(over="ignore"):  # a row whose sum overflows sums to inf, as on the small side
+            sums = P.sum(axis=1).tolist()
+        low, digits = P.min(), ((P > 0.0).view(np.uint8) + ord("0")).tobytes()
     if low < 0.0:
         raise DefinitionError("transition probabilities must be non-negative")
     for i, total in enumerate(sums):
         if abs(total - 1.0) > ROW_SUM_TOLERANCE:
             raise DefinitionError(f"row {i} does not sum to 1")
     return P, digits
+
+
+def _fsum(row: list) -> float:
+    """``math.fsum(row)``, or inf when the exact sum of the finite ``row`` is beyond the float range."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
 
 
 def _reach(edges: Callable[[int], int], n: int, seeds: int, blocked: int, wanted: int) -> int:

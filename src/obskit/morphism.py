@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from itertools import permutations, product
 
 from .core import Ident, Observer, _items, _of_type, _Record, check_total
-from .errors import IdentifierError, MorphismShapeError
+from .errors import DefinitionError, IdentifierError, MorphismShapeError, _shown
 
 
 class ObserverMorphism(_Record):
@@ -36,7 +36,10 @@ class ObserverMorphism(_Record):
 
     def __post_init__(self) -> None:
         maps = self.state_map, self.input_map, self.output_map
-        self._assign(bijective=all(len(set(m.values())) == len(m) for m in maps))
+        try:
+            self._assign(bijective=all(len(set(m.values())) == len(m) for m in maps))
+        except TypeError:
+            raise DefinitionError(f"a morphism's maps must hold hashable values, got {_shown(maps)}") from None
 
     def __repr__(self) -> str:
         return f"{super().__repr__()[:-1]}, bijective={self.bijective!r})"
@@ -158,9 +161,9 @@ def find_isomorphism(
             first, second = anchors
             for obs, x, which in ((a, first, "first"), (b, second, "second")):
                 if x not in obs.state_index:
-                    raise IdentifierError(f"anchor {x!r} is not a state of the {which} observer")
+                    raise IdentifierError(f"anchor {_shown(x)} is not a state of the {which} observer")
         except (TypeError, ValueError):
-            raise IdentifierError(f"anchors must be a pair of hashable states, got {anchors!r}") from None
+            raise IdentifierError(f"anchors must be a pair of hashable states, got {_shown(anchors)}") from None
 
     nx, ny, nz = len(a.states), len(a.inputs), len(a.outputs)
     if (nx, ny, nz) != (len(b.states), len(b.inputs), len(b.outputs)):
@@ -311,13 +314,16 @@ class BehavioralPartition(_Record):
     classes: tuple[tuple[Ident, ...], ...]
 
     def __post_init__(self) -> None:
-        self._assign(classes=tuple(map(tuple, self.classes)))
+        try:
+            self._assign(classes=tuple(map(tuple, self.classes)))
+        except TypeError:
+            raise DefinitionError(f"each block of classes must be iterable, got {_shown(self.classes)}") from None
 
     def block_of(self, state: Ident) -> tuple[Ident, ...]:
         for block in self.classes:
             if state in block:
                 return block
-        raise IdentifierError(f"unknown state {state!r}")
+        raise IdentifierError(f"unknown state {_shown(state)}")
 
 
 def _quotient(obs: Observer) -> tuple[list[int], list[list[int]], list[list[int]], set[int]]:

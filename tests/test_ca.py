@@ -78,7 +78,7 @@ def test_calling_a_rule_reads_its_table():
         for abc in product((0, 1), repeat=3):
             assert rule(*abc) == rule.table[abc]
     assert rule_table(110)(True, 1.0, 0) == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(DefinitionError, match=r"^a neighborhood must be three bits, got \(2, 0, 0\)$"):
         rule_table(110)(2, 0, 0)
 
 

@@ -33,6 +33,7 @@ from obskit.core import (
 from obskit.documents import parse_environment, parse_observer, serialize_environment, serialize_observer
 from obskit.errors import (
     DefinitionError,
+    DocumentParseError,
     IdentifierError,
     IncompatibleAlphabetsError,
     WiringError,
@@ -45,9 +46,13 @@ from obskit.machines import (
     thermostat,
 )
 from obskit.metrics import adaptation_time, expected_hitting_time
-from obskit.morphism import equivalence_partition, identity_morphism
+from obskit.morphism import BehavioralPartition, ObserverMorphism, equivalence_partition, identity_morphism
 
 from conftest import random_environment, random_observer, random_system, reachable_joints_oracle
+
+DEEP = []  # a list nested 5,000 deep: its repr raises RecursionError
+for _ in range(5000):
+    DEEP = [DEEP]
 
 
 # -- construction invariants -------------------------------------------------
@@ -368,17 +373,40 @@ def test_a_collection_argument_that_is_not_iterable_is_a_definition_error(call, 
      "registry must be a MetaRegistry"),
     (lambda system: scripted_environment(None, ("HeaterOff",)), "readings must be iterable"),
     (lambda system: scripted_environment(["Cold"], None), "actions must be iterable"),
+    (lambda system: rule_table(110)(2, 0, 0), "a neighborhood must be three bits"),
+    (lambda system: rule_table(110)([0], 0, 0), "a neighborhood must be three bits"),
+    (lambda system: ObserverMorphism({"OFF": ["ON"]}, {}, {}), "a morphism's maps must hold hashable values"),
+    (lambda system: BehavioralPartition([None]), "each block of classes must be iterable"),
+    # the message shows a placeholder where repr would raise RecursionError
+    (lambda system: check_well_founded(DEEP), "meta_graph must be a mapping"),
+    (lambda system: rule_table(DEEP), "rule number must be in 0..255"),
+    (lambda system: stack(DEEP, thermostat(), Wiring({})), "lower must be an Observer"),
+    (lambda system: expected_hitting_time([[1.0]], DEEP, [0]), "start index must be an integer"),
 ], ids=["stack-upper-str", "stack-lower-none", "stack-wiring-int", "record-fact-none", "facts-none", "well-founded-int",
         "well-founded-value-int", "serialize-observer-none", "serialize-environment-none", "render-text-int",
         "pbm-int", "render-text-row-int", "pbm-row-int", "respond-int", "adapt-goal-str", "observer-unhashable-state",
         "observer-boundary-int", "observer-boundary-none", "environment-unhashable-reading", "wrap-states-int",
         "wrap-family-int", "rule-family-table-int", "record-fact-step-str", "facts-step-str", "adapt-system-int",
         "minimal-system-int", "parse-observer-int", "parse-environment-int", "well-founded-unhashable-node",
-        "well-founded-registry-int", "stack-registry-int", "scripted-readings-none", "scripted-actions-none"])
+        "well-founded-registry-int", "stack-registry-int", "scripted-readings-none", "scripted-actions-none",
+        "rule-call-two", "rule-call-list", "morphism-unhashable-value", "partition-block-none", "well-founded-deep",
+        "rule-table-deep", "stack-lower-deep", "hit-start-deep"])
 def test_an_argument_of_the_wrong_kind_is_a_definition_error(call, message):
     system = CoupledSystem(thermostat(), flip_environment())
     with pytest.raises(DefinitionError, match=f"^{message}, got "):
         call(system)
+
+
+def test_a_value_nested_too_deeply_to_show_is_named_by_its_type():
+    # showing the value with repr used to raise a bare RecursionError
+    system = CoupledSystem(thermostat(), flip_environment())
+    shown = "<list nested too deeply to show>"
+    with pytest.raises(IdentifierError, match=f"^unknown state {shown}$"):
+        system.observer.step(DEEP, "Cold")
+    with pytest.raises(IdentifierError, match=f"^a joint is an .* pair, got {shown}$"):
+        system.run(DEEP, 3)
+    assert str(DocumentParseError(DEEP, DEEP, 2)) == f"{shown} (line {shown}, column 2)"
+    assert str(DocumentParseError("bad", 1, 2)) == "bad (line 1, column 2)"
 
 
 @pytest.mark.parametrize("call, error, message", [

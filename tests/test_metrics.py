@@ -476,7 +476,11 @@ def with_entry(n: int, entry) -> list:
     # numpy used to read None as NaN and equal-length sequences as a third axis, whatever the size
     *(pytest.param(with_entry(n, entry), 0, [n - 1], id=f"{name}-entry-{n}") for n in (2, 70)
       for name, entry in (("none", None), ("equal-length-sequence", [0.5]), ("unequal-length-sequence", [0.5, 0.5]))),
+    # finite rows whose sum overflows: math.fsum used to raise OverflowError, and numpy to warn
+    *(pytest.param([[1e308, 1e308] + [0.0] * (n - 2), *path_chain(n)[1:]], 0, [n - 1], id=f"sum-overflows-{n}")
+      for n in (2, 70)),
 ])
+@pytest.mark.filterwarnings("error")
 def test_both_solve_paths_give_the_same_value_or_the_same_error(matrix, start, goal):
     outcomes = []
     for solve in (*map(forced, SIDES), expected_hitting_time):
@@ -485,4 +489,12 @@ def test_both_solve_paths_give_the_same_value_or_the_same_error(matrix, start, g
         except ObskitError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 70])
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_a_finite_row_whose_sum_overflows_does_not_sum_to_1(solve, n):
+    with pytest.raises(DefinitionError, match="^row 0 does not sum to 1$"):
+        solve([[1e308, 1e308] + [0.0] * (n - 2), *path_chain(n)[1:]], 0, [n - 1])
 
