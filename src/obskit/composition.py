@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import threading
 import weakref
+from collections import defaultdict
 from collections.abc import Hashable, Iterable, Mapping
 from itertools import chain, product
 
-from .core import Ident, Observer, _index, _integer, _items, _of_type, _Record, check_total
+from .core import Ident, Observer, _each, _index, _integer, _items, _of_type, _Record, check_total
 from .errors import (
     DefinitionError,
     LedgerOrderError,
@@ -52,43 +53,54 @@ class WellFoundedReport(_Record):
         return self.well_founded
 
 
+class _Held(weakref.ref):
+    """A weakly held node's key in a registry: hashed and compared by identity, where a weakref compares referents."""
+
+    __hash__, __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = (
+        object.__hash__, object.__eq__, object.__ne__, object.__lt__, object.__le__, object.__gt__, object.__ge__)
+
+    def __repr__(self) -> str:
+        node = self()
+        if node is None:
+            return "<collected>"
+        return f"<{type(node).__name__} {getattr(node, 'boundary', '')!r} at {id(node):#x}>"
+
+
 class MetaRegistry:
     """Mutable record of who observes or modifies whom, safe to share between threads.
 
-    Nodes are tracked by identity.  Observers are held by weak references whose
-    callbacks only append the dead id to a list and never hold the registry, so a
-    dropped registry leaves nothing behind; ``register_edge`` and ``graph`` first
-    drop collected observers and their edges, before an id can be reused.  Edges
-    are kept both ways, so that costs only the dead observers' own edges.
-    Labels that cannot be weakly referenced (strings, ints, tuples) are held until
-    ``clear``.  An edge that would close a directed cycle raises ``MetaCycleError``
-    and leaves the graph unchanged.  One lock serializes the public methods; the
-    callbacks never take it, as garbage collection can run them under it.
+    A node that can be weakly referenced, such as an observer, is tracked by identity, under a
+    ``_Held`` weak reference to it whose callback only appends it to a list and never holds the
+    registry, so a dropped registry leaves nothing behind.  ``register_edge`` and ``graph``
+    first drop collected nodes and their edges; as edges are kept both ways, that costs only
+    those nodes' own edges.  Any other node is a label (a string, int or tuple), tracked by
+    value and held until ``clear``.  An edge that would close a directed cycle raises
+    ``MetaCycleError`` and leaves the graph unchanged.  One lock serializes the public methods;
+    the callbacks never take it, as garbage collection can run them under it.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._watches: dict[int, dict[int, None]] = {}
-        self._watchers: dict[int, dict[int, None]] = {}  # the same edges, reversed
-        self._held: dict[int, object] = {}  # the label itself, or a weak reference to the observer
-        self._dead: list[int] = []  # appended to by callbacks only, drained under the lock
+        self._watches: defaultdict[Hashable, dict[Hashable, None]] = defaultdict(dict)
+        self._watchers: defaultdict[Hashable, dict[Hashable, None]] = defaultdict(dict)  # the same edges, reversed
+        self._dead: list[_Held] = []  # appended to by callbacks only, drained under the lock
 
-    def _node(self, node) -> int:
-        key, dead = id(node), self._dead
-        if key not in self._watches:
+    def _key(self, node) -> Hashable:
+        if not type(node).__weakrefoffset__:  # a label: its type's instances cannot be weakly referenced
             try:
-                held = weakref.ref(node, lambda _: dead.append(key))  # never holds the registry
+                hash(node)
             except TypeError:
-                held = node
-            self._held[key] = held
-            self._watches[key], self._watchers[key] = {}, {}
-        return key
+                raise DefinitionError(f"registry labels must be hashable, got {_shown(node)}") from None
+            return node
+        for key in weakref.getweakrefs(node):
+            if type(key) is _Held and key.__callback__.__self__ is self._dead:  # this registry's key for it
+                return key
+        return _Held(node, self._dead.append)  # never holds the registry
 
     def _forget_dead(self) -> None:
         while self._dead:
             key = self._dead.pop()
-            self._held.pop(key, None)  # pop: a callback already running when clear() ran appends after it
-            for target in self._watches.pop(key, ()):
+            for target in self._watches.pop(key, ()):  # pop: clear() may have dropped the key
                 self._watchers[target].pop(key, None)
             for watcher in self._watchers.pop(key, ()):
                 self._watches[watcher].pop(key, None)
@@ -102,25 +114,23 @@ class MetaRegistry:
         """
         with self._lock:
             self._forget_dead()
-            a, b = id(watcher), id(watched)
+            a, b = self._key(watcher), self._key(watched)
             if a == b or self._watchers.get(a) and self._watches.get(b):
                 cycle = _cycle(self._watches, a, (b,))
                 if cycle:
                     raise MetaCycleError(f"edge would close an observation cycle: {tuple(cycle)!r}")
-            self._watches[self._node(watcher)][self._node(watched)] = None
+            self._watches[a][b] = None
             self._watchers[b][a] = None
 
-    def graph(self) -> dict[int, list[int]]:
-        """A copy of the edges, by node id."""
+    def graph(self) -> dict[Hashable, list[Hashable]]:
+        """A copy of the edges: labels as themselves, weakly held nodes by their keys."""
         with self._lock:
             self._forget_dead()
-            return {key: list(targets) for key, targets in self._watches.items()}
+            return {key: list(self._watches.get(key, ())) for key in self._watches | self._watchers}
 
     def clear(self) -> None:
         with self._lock:
-            self._held.clear()  # first: a weak reference that is gone calls nothing back
-            self._dead.clear()
-            self._watches.clear(), self._watchers.clear()
+            self._dead.clear(), self._watches.clear(), self._watchers.clear()
 
 
 _default_registry = MetaRegistry()
@@ -243,8 +253,7 @@ class RuleFamily(_Record):
     def __post_init__(self) -> None:
         if not self.tables:
             raise DefinitionError("rule family must contain at least one table")
-        for table in self.tables:
-            _of_type(table, RuleTable, "each rule family table must be a RuleTable")
+        _each(self.tables, RuleTable, "each rule family table must be a RuleTable")
 
 
 def second_order_wrap(
@@ -290,6 +299,9 @@ class FactLedger(_Record):
     """Append-only record of boundary crossings, per observer."""
 
     entries: tuple[FactEntry, ...] = ()
+
+    def __post_init__(self) -> None:
+        _each(self.entries, FactEntry, "each FactLedger entry must be a FactEntry")
 
     def last_step(self, observer_id: Hashable) -> int | None:
         return next((e.step for e in reversed(self.entries) if e.observer_id == observer_id), None)

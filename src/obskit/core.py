@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
-from itertools import islice, pairwise
+from itertools import islice, pairwise, repeat
 from types import MappingProxyType
 
 from .errors import DefinitionError, IdentifierError, IncompatibleAlphabetsError, _shown
@@ -40,6 +40,13 @@ def _of_type(value, cls: type, claim: str):
     if not isinstance(value, cls):
         raise DefinitionError(f"{claim}, got {_shown(value)}")
     return value
+
+
+def _each(values: tuple, cls: type, claim: str) -> None:
+    """Check that each of ``values`` is a ``cls``; otherwise a DefinitionError stating ``claim`` shows the first."""
+    if not all(map(isinstance, values, repeat(cls))):
+        for value in values:
+            _of_type(value, cls, claim)
 
 
 def _integer(value, what: str, least: int | None = None) -> int:
@@ -323,6 +330,9 @@ class Trace(_Record):
     """Time-indexed record of a closed-loop run."""
 
     steps: tuple[TraceRecord, ...] = ()
+
+    def __post_init__(self) -> None:
+        _each(self.steps, TraceRecord, "each Trace step must be a TraceRecord")
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -300,6 +300,25 @@ def random_chain(rng: random.Random, n: int, band: int | None = None) -> list[li
     return rows
 
 
+def exact_sum_chain(rng: random.Random, n: int, leak: int) -> list[list[float]]:
+    """Rows that sum to exactly 1: states 0 .. n - 2 move among themselves, and one leaks 2**-leak into state n - 1.
+
+    ``n`` is at least 3.  Entries count units of 2**-56, so ``leak`` is at most 56.  Each is a multiple of 8
+    units, which a float holds exactly, except one below 2**53 units, which also holds the remainder; state n - 1
+    is absorbing.
+    """
+    unit, leaker, rows = 2 ** 56, rng.randrange(n - 1), []
+    for i in range(n - 1):
+        out = 2 ** (56 - leak) if i == leaker else 0
+        small = 8 * rng.randrange(2 ** 47) + (unit - out) % 8
+        rest = unit - out - small
+        cuts = sorted(8 * rng.randrange(rest // 8) for _ in range(n - 3))
+        parts = [small] + [b - a for a, b in zip([0, *cuts], [*cuts, rest])]
+        rng.shuffle(parts)
+        rows.append([p / unit for p in parts] + [out / unit])
+    return rows + [[0.0] * (n - 1) + [1.0]]
+
+
 # -- exact first-passage oracle ------------------------------------------------------
 
 def exact_hitting_time(rows, start: int, goal) -> Fraction | float:

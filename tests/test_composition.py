@@ -378,12 +378,13 @@ def test_registry_size_does_not_grow_with_dropped_stacks():
 def test_edges_into_a_collected_observer_go_at_the_next_write():
     mine = MetaRegistry()
     watched = thermostat()
-    gone = id(watched)
     mine.register_edge("watcher", watched)
+    gone = mine.graph()["watcher"][0]  # the observer's key, which does not keep it alive
     del watched
     gc.collect()
     mine.register_edge("other", "thing")
     graph = mine.graph()
+    assert repr(gone) == "<collected>"
     assert gone not in graph
     assert all(gone not in targets for targets in graph.values())
     assert len(graph) == 3
@@ -404,11 +405,11 @@ def test_dropped_registries_leave_no_weak_references_behind():
 def test_graph_lists_no_collected_observer_even_before_the_next_write():
     mine = MetaRegistry()
     watcher, watched = "watcher", thermostat()
-    gone = id(watched)
     mine.register_edge(watcher, watched)
+    gone = mine.graph()[watcher][0]
     del watched
     gc.collect()
-    assert mine.graph() == {id(watcher): []}
+    assert mine.graph() == {watcher: []}
     assert gone not in mine.graph()
 
 
@@ -422,7 +423,7 @@ def test_clear_then_collecting_the_observers_leaves_only_the_next_edge():
     gc.collect()
     first, second = "first", "second"
     mine.register_edge(first, second)
-    assert mine.graph() == {id(first): [id(second)], id(second): []}
+    assert mine.graph() == {first: [second], second: []}
 
 
 def test_threads_sharing_one_registry_all_finish_and_keep_it_well_founded():
@@ -491,7 +492,7 @@ def test_register_edge_refuses_exactly_the_edges_that_close_a_cycle():
             u, v = rng.choice(nodes), rng.choice(nodes)
             before = mine.graph()
             with_edge = {key: list(targets) for key, targets in before.items()}
-            with_edge.setdefault(id(u), []).append(id(v))
+            with_edge.setdefault(u, []).append(v)
             if cycle_oracle(with_edge):
                 refused += 1
                 with pytest.raises(MetaCycleError):
@@ -502,6 +503,69 @@ def test_register_edge_refuses_exactly_the_edges_that_close_a_cycle():
                 edges = {key: set(targets) for key, targets in mine.graph().items() if targets}
                 assert edges == {key: set(t) for key, t in with_edge.items() if t}
     assert refused > 50
+
+
+def fresh_label(rng: random.Random, value: int):
+    """One of a few labels, each time a new object: an f-string, an int above 256, or a tuple built apart."""
+    return rng.choice((lambda: f"n{value}", lambda: int(f"{1000 + value}"), lambda: ("n", str(value))))()
+
+
+def test_registry_refuses_exactly_the_edges_that_close_a_cycle_whatever_objects_the_labels_are():
+    rng = random.Random(41)
+    for _ in range(150):
+        mine, graph = MetaRegistry(), {}
+        for _ in range(rng.randrange(1, 15)):
+            u, v = (fresh_label(rng, rng.randrange(5)) for _ in range(2))
+            with_edge = {key: list(targets) for key, targets in graph.items()}
+            with_edge.setdefault(u, []).append(v)
+            if cycle_oracle(with_edge):
+                with pytest.raises(MetaCycleError):
+                    mine.register_edge(u, v)
+            else:
+                mine.register_edge(u, v)
+                graph = with_edge
+        assert check_well_founded(registry=mine).well_founded == check_well_founded(graph).well_founded
+        assert {key: set(targets) for key, targets in mine.graph().items() if targets} == \
+            {key: set(targets) for key, targets in graph.items()}
+
+
+def test_equal_labels_built_apart_are_one_node():
+    # the registry used to key every node by id(), so these were four nodes and the cycle went unseen
+    mine = MetaRegistry()
+    mine.register_edge("n" + str(1), "n" + str(2))
+    with pytest.raises(MetaCycleError, match=r"cycle: \('n2', 'n1'\)$"):
+        mine.register_edge("n" + str(2), "n" + str(1))
+    assert check_well_founded(registry=mine).well_founded
+    with pytest.raises(MetaCycleError):
+        mine.register_edge(10**6, int("1000000"))
+
+
+def test_observers_are_nodes_by_identity_and_never_equal_a_label():
+    mine = MetaRegistry()
+    first, second = thermostat(), thermostat()
+    assert first == second
+    mine.register_edge(first, second)  # two equal observers are two nodes
+    mine.register_edge(second, id(first))  # an int label equal to an observer's id is a node of its own
+    mine.register_edge(id(first), "label")
+    assert len(mine.graph()) == 4
+    with pytest.raises(MetaCycleError) as refused:
+        mine.register_edge(second, first)
+    shown = [f"<Observer {node.boundary!r} at {id(node):#x}>" for node in (second, first)]
+    assert str(refused.value).endswith(f"cycle: ({shown[0]}, {shown[1]})")
+    before, fresh = mine.graph(), thermostat()
+    with pytest.raises(MetaCycleError):
+        mine.register_edge(fresh, fresh)  # a new observer's self-edge: one key for both ends
+    assert mine.graph() == before
+
+
+@pytest.mark.parametrize("label", [[1], {"a": 1}, ("a", [1])], ids=["list", "dict", "tuple-of-list"])
+def test_an_unhashable_label_is_a_definition_error_and_changes_nothing(label):
+    mine = MetaRegistry()
+    mine.register_edge("a", "b")
+    for edge in ((label, "a"), ("a", label), (label, label)):
+        with pytest.raises(DefinitionError, match="registry labels must be hashable"):
+            mine.register_edge(*edge)
+    assert mine.graph() == {"a": ["b"], "b": []}
 
 
 def test_detector_matches_closure_oracle_exhaustively_on_three_nodes():

@@ -39,6 +39,7 @@ from obskit.metrics import (
 from conftest import (
     adaptation_time_oracle,
     exact_hitting_time,
+    exact_sum_chain,
     mc_hitting_oracle,
     random_chain,
     random_dense_chain,
@@ -431,13 +432,59 @@ def path_chain(n: int) -> list[list[float]]:
 
 
 def test_the_public_call_takes_the_stdlib_path_up_to_64_states(monkeypatch):
-    monkeypatch.setattr(metrics, "_eliminate", lambda P, region: ["eliminate"] * len(region))
-    monkeypatch.setattr(metrics, "_lu", lambda P, region: ["lu"] * len(region))
+    monkeypatch.setattr(metrics, "_eliminate", lambda P, region, start: "eliminate")
+    monkeypatch.setattr(metrics, "_lu", lambda P, region, start: "lu")
     for n, kernel in ((2, "eliminate"), (64, "eliminate"), (65, "lu"), (800, "lu")):
         assert expected_hitting_time(path_chain(n), 0, [n - 1]) == kernel
     assert expected_hitting_time(iter(path_chain(3)), 0, [2]) == "eliminate"
     monkeypatch.undo()
     assert [expected_hitting_time(path_chain(n), 0, [n - 1]) for n in (64, 65)] == [63.0, 64.0]
+
+
+@functools.cache
+def exact_sum_case(n: int, leak: int):
+    """An exact-sum chain that leaks 2**-leak into its goal, a start, and the exact answer."""
+    rng = random.Random(100 * n + leak)
+    rows = exact_sum_chain(rng, n, leak)
+    start = rng.randrange(n - 1)
+    return rows, start, exact_hitting_time(rows, start, [n - 1])
+
+
+EXACT_SUM = pytest.mark.parametrize("n, leak", [(n, leak) for n in (3, 4, 7, 12, 20, 33, 50)
+                                                for leak in (20, 28, 36, 44, 52, 56)])
+
+
+@EXACT_SUM
+def test_the_stdlib_side_is_accurate_on_chains_that_leak_little_into_the_goal(n, leak):
+    # pivots formed as 1 - P_kk lose most of their digits here: Gaussian elimination was off by up to 312 %
+    rows, start, exact = exact_sum_case(n, leak)
+    assert math.isclose(forced("stdlib")(rows, start, [n - 1]), exact, rel_tol=1e-12)
+
+
+@EXACT_SUM
+def test_the_numpy_side_is_accurate_or_says_it_cannot_be(n, leak):
+    rows, start, exact = exact_sum_case(n, leak)
+    try:
+        value = forced("numpy")(rows, start, [n - 1])
+    except NumericalError:  # the LU answer cannot be trusted to 1e-6, or LU met an exactly singular pivot
+        return
+    assert math.isclose(value, exact, rel_tol=1e-6)
+
+
+def test_a_row_that_sums_to_1_within_the_tolerance_counts_as_its_mass_out():
+    # row 1 sums to 1 + 1.67e-17 exactly; read as (I - Q) t = 1 this chain's time is 2.40e16, while 1 - P_11 read as
+    # the mass row 1 moves out gives 2.0e16.  Elimination used to give 1.80e16 on both sides
+    chain = [[0, 1, 0, 0], [0.1, 0, 0.9 - 1e-16, 1e-16], [0, 1, 0, 0], [0, 0, 0, 1]]
+    assert math.isclose(expected_hitting_time(chain, 0, [3]), 2.0e16, rel_tol=1e-12)
+    with pytest.raises(NumericalError, match="ill-conditioned"):
+        forced("numpy")(chain, 0, [3])
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_a_leak_that_a_float_barely_holds_is_a_numerical_error_not_infinity(solve):
+    # infinity means the goal cannot be reached; here it can, in about 2e323 steps, more than a float holds
+    with pytest.raises(NumericalError):
+        solve([[1.0, 5e-324], [0.0, 1.0]], 0, [1])
 
 
 THREE = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]

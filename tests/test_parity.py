@@ -7,8 +7,8 @@ relative.  A case is pinned in ``tests/parity.json`` by its exit code and
 the SHA-256 digests of its stdout, its stderr and each file it writes.
 ``hit`` on a chain of more than 64 states prints a LAPACK float whose last
 digits may differ between numpy builds; on a smaller chain it prints the
-result of a pure-Python elimination, which may differ from LAPACK's in the
-last digits.  So its value is compared to 1e-9 relative, and the rest of
+result of a pure-Python state reduction, which may differ from LAPACK's in
+the last digits.  So its value is compared to 1e-9 relative, and the rest of
 its stdout by digest.
 
 The digests are a contract.  They change only through

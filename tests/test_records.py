@@ -9,6 +9,7 @@ hashable whatever sequence they were built from.
 from __future__ import annotations
 
 import copy
+import re
 import pickle
 
 import pytest
@@ -270,4 +271,19 @@ def test_records_with_mapping_fields_survive_pickle_and_deepcopy_with_their_hash
         "Wiring-int", "Wiring-None", "RuleTable"])
 def test_a_container_field_of_the_wrong_kind_is_a_definition_error(call):
     with pytest.raises(DefinitionError):
+        call()
+
+
+# -- a sequence of records holds records only ------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    # both used to be accepted, and to fail later with a bare AttributeError
+    (lambda: record_fact(FactLedger((5,)), "o", 1, "y", "a"), "each FactLedger entry must be a FactEntry, got 5"),
+    (lambda: Trace([5]).joint_states(), "each Trace step must be a TraceRecord, got 5"),
+    (lambda: FactLedger([FactEntry("o", 1, "y", "a"), None]), "each FactLedger entry must be a FactEntry, got None"),
+    (lambda: Trace(steps=(TraceRecord(0, "y", "x", "z", "s"), ("y", "x"))),
+     "each Trace step must be a TraceRecord, got ('y', 'x')"),
+], ids=["ledger-int", "trace-int", "ledger-none-after-an-entry", "trace-tuple-after-a-step"])
+def test_a_ledger_or_trace_entry_that_is_not_its_record_is_a_definition_error(call, message):
+    with pytest.raises(DefinitionError, match=f"^{re.escape(message)}$"):
         call()
