@@ -2,12 +2,11 @@
 
 Exit codes are stable for scripting: 0 for success (and for "equivalent"),
 1 for domain errors or negative verdicts, 2 for usage errors.  Each
-subcommand imports only the modules it runs, so a short call pays for no others.
+subcommand imports only the modules it runs; argparse waits for ``build_parser``.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -17,7 +16,8 @@ from .errors import ObskitError
 LN2 = math.log(2)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="obskit",
         description="Simulate, compare, and measure finite observers.",

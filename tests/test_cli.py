@@ -404,6 +404,9 @@ def loaded_after(code):
 def test_start_up_loads_only_the_modules_a_call_runs():
     assert loaded_after("import obskit") == "['obskit']"
     assert loaded_after("import obskit.cli") == "['obskit', 'obskit.cli', 'obskit.errors']"
+    # argparse, and the gettext it imports, wait for the first call that parses arguments
+    shown = "print([m for m in ('argparse', 'gettext') if m in sys.modules])"
+    assert fresh_interpreter(f"import obskit.cli\n{shown}")[-2] == "[]"
     bare_ca = dispatching("ca", "--rule", "110", "--width", "15", "--steps", "10", "--init", "single")
     assert loaded_after(bare_ca) == "['obskit', 'obskit.ca', 'obskit.cli', 'obskit.core', 'obskit.errors']"
     # neither loads obskit.morphism, which only complexity, equiv and minimize run
@@ -457,8 +460,8 @@ def test_hit_loads_numpy_only_for_a_chain_of_more_than_64_states(tmp_path, state
 # -- usage and plumbing ------------------------------------------------------------------------------
 
 def reference_parser():
-    """The subcommands and their help, and the simulate and adapt options as each
-    of the two once declared them on its own."""
+    """The whole parser, one add_argument call at a time; simulate and adapt each declare
+    the options that cli.py shares between them."""
     import argparse
     parser = argparse.ArgumentParser(prog="obskit", description="Simulate, compare, and measure finite observers.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -468,17 +471,34 @@ def reference_parser():
     p.add_argument("--init", required=True, metavar="X0,S0")
     p.add_argument("--steps", required=True, type=int, metavar="N")
     p.add_argument("--trace", choices=("tsv", "jsonl"), default="tsv")
-    sub.add_parser("equiv", help="decide whether two observers are relabelings")
-    sub.add_parser("complexity", help="capacity, redundancy, and reduced sizes")
-    sub.add_parser("minimize", help="write the behaviorally reduced observer")
+    p = sub.add_parser("equiv", help="decide whether two observers are relabelings")
+    p.add_argument("first", metavar="A.json")
+    p.add_argument("second", metavar="B.json")
+    p.add_argument("--anchors", metavar="XA,XB")
+    p = sub.add_parser("complexity", help="capacity, redundancy, and reduced sizes")
+    p.add_argument("observer", metavar="FILE")
+    p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
+    p = sub.add_parser("minimize", help="write the behaviorally reduced observer")
+    p.add_argument("observer", metavar="FILE")
+    p.add_argument("-o", "--output", metavar="OUT")
     p = sub.add_parser("adapt", help="steps until a coupled run settles or meets a goal")
     p.add_argument("--observer", required=True, metavar="FILE")
     p.add_argument("--env", required=True, metavar="FILE")
     p.add_argument("--init", required=True, metavar="X0,S0")
     p.add_argument("--goal", metavar="EXPR", help="e.g. 'x=ON', 's=Hot', or 'x=ON,s=Hot'")
     p.add_argument("--cap", type=int, metavar="N")
-    sub.add_parser("hit", help="expected hitting time of a Markov chain")
-    sub.add_parser("ca", help="run an elementary cellular automaton")
+    p = sub.add_parser("hit", help="expected hitting time of a Markov chain")
+    p.add_argument("--chain", required=True, metavar="M.json")
+    p.add_argument("--start", required=True, type=int, metavar="I")
+    p.add_argument("--goal", required=True, metavar="J,K")
+    p = sub.add_parser("ca", help="run an elementary cellular automaton")
+    p.add_argument("--rule", required=True, type=int, metavar="R")
+    p.add_argument("--width", required=True, type=int, metavar="W")
+    p.add_argument("--steps", required=True, type=int, metavar="T")
+    p.add_argument("--init", required=True, metavar="PATTERN", help="'single', 'zero', or an explicit bit string")
+    p.add_argument("--embed", metavar="FILE", help="observer document to embed")
+    p.add_argument("--at", type=int, default=0, metavar="POS", help="block start index")
+    p.add_argument("--pbm", metavar="OUT", help="also write the diagram as a P4 image")
     return parser
 
 
@@ -486,8 +506,13 @@ def reference_parser():
     ["--help"], ["simulate", "--help"], ["adapt", "--help"], ["simulate"], ["adapt", "--observer", "x"],
     ["simulate", "--observer", "a", "--env", "b", "--init", "c"], ["adapt", "--init", "x0,s0"],
     ["adapt", "--observer", "a", "--env", "b", "--init", "c", "--cap", "many"],
+    ["equiv", "--help"], ["equiv", "a"], ["complexity", "--help"], ["complexity", "a", "b"],
+    ["minimize", "--help"], ["minimize", "a", "-o"], ["hit", "--help"], ["hit", "--start", "x"],
+    ["ca", "--help"], ["ca", "--rule", "110", "--width", "8", "--steps", "4", "--init", "single", "--at", "two"],
 ], ids=["help", "simulate-help", "adapt-help", "simulate-bare", "adapt-observer-only", "simulate-no-steps",
-        "adapt-init-only", "adapt-cap-not-int"])
+        "adapt-init-only", "adapt-cap-not-int", "equiv-help", "equiv-one-file", "complexity-help",
+        "complexity-two-files", "minimize-help", "minimize-output-missing", "hit-help", "hit-start-only",
+        "ca-help", "ca-at-not-int"])
 def test_help_and_usage_errors_of_the_loop_subcommands_are_pinned(capsys, argv):
     try:
         reference_parser().parse_args(argv)
