@@ -1,70 +1,20 @@
 """Command-line front end.
 
 Exit codes are stable for scripting: 0 for success (and for "equivalent"),
-1 for domain errors or negative verdicts, 2 for usage errors.  Each
-subcommand imports only the modules it runs; argparse waits for ``build_parser``.
+1 for domain errors or negative verdicts, 2 for usage errors.  Each subcommand
+imports only the modules it runs, and no pathlib; argparse is imported only for
+``--help``, a usage error or a spelling ``_parse`` leaves to it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import ObskitError
 
 LN2 = math.log(2)
-
-
-def build_parser():
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="obskit",
-        description="Simulate, compare, and measure finite observers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    loop = argparse.ArgumentParser(add_help=False)  # the options _loop reads, for simulate and adapt
-    loop.add_argument("--observer", required=True, metavar="FILE")
-    loop.add_argument("--env", required=True, metavar="FILE")
-    loop.add_argument("--init", required=True, metavar="X0,S0")
-
-    p = sub.add_parser("simulate", parents=[loop], help="run an observer against an environment")
-    p.add_argument("--steps", required=True, type=int, metavar="N")
-    p.add_argument("--trace", choices=("tsv", "jsonl"), default="tsv")
-
-    p = sub.add_parser("equiv", help="decide whether two observers are relabelings")
-    p.add_argument("first", metavar="A.json")
-    p.add_argument("second", metavar="B.json")
-    p.add_argument("--anchors", metavar="XA,XB")
-
-    p = sub.add_parser("complexity", help="capacity, redundancy, and reduced sizes")
-    p.add_argument("observer", metavar="FILE")
-    p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
-
-    p = sub.add_parser("minimize", help="write the behaviorally reduced observer")
-    p.add_argument("observer", metavar="FILE")
-    p.add_argument("-o", "--output", metavar="OUT")
-
-    p = sub.add_parser("adapt", parents=[loop], help="steps until a coupled run settles or meets a goal")
-    p.add_argument("--goal", metavar="EXPR", help="e.g. 'x=ON', 's=Hot', or 'x=ON,s=Hot'")
-    p.add_argument("--cap", type=int, metavar="N")
-
-    p = sub.add_parser("hit", help="expected hitting time of a Markov chain")
-    p.add_argument("--chain", required=True, metavar="M.json")
-    p.add_argument("--start", required=True, type=int, metavar="I")
-    p.add_argument("--goal", required=True, metavar="J,K")
-
-    p = sub.add_parser("ca", help="run an elementary cellular automaton")
-    p.add_argument("--rule", required=True, type=int, metavar="R")
-    p.add_argument("--width", required=True, type=int, metavar="W")
-    p.add_argument("--steps", required=True, type=int, metavar="T")
-    p.add_argument("--init", required=True, metavar="PATTERN",
-                   help="'single', 'zero', or an explicit bit string")
-    p.add_argument("--embed", metavar="FILE", help="observer document to embed")
-    p.add_argument("--at", type=int, default=0, metavar="POS", help="block start index")
-    p.add_argument("--pbm", metavar="OUT", help="also write the diagram as a P4 image")
-
-    return parser
 
 
 def _split_pair(text: str, what: str) -> tuple[str, str]:
@@ -74,12 +24,17 @@ def _split_pair(text: str, what: str) -> tuple[str, str]:
     return head, tail
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as file:
+        return file.read()
+
+
 def _loop(args):
     """The coupled system of ``--observer`` and ``--env``, and the joint state ``--init`` names."""
     from .core import CoupledSystem
     from .documents import parse_environment, parse_observer
-    observer = parse_observer(Path(args.observer).read_bytes())
-    environment = parse_environment(Path(args.env).read_bytes())
+    observer = parse_observer(_read(args.observer))
+    environment = parse_environment(_read(args.env))
     return CoupledSystem(observer, environment), _split_pair(args.init, "--init")
 
 
@@ -100,8 +55,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_equiv(args) -> int:
     from .documents import parse_observer
     from .morphism import find_isomorphism
-    first = parse_observer(Path(args.first).read_bytes())
-    second = parse_observer(Path(args.second).read_bytes())
+    first = parse_observer(_read(args.first))
+    second = parse_observer(_read(args.second))
     anchors = _split_pair(args.anchors, "--anchors") if args.anchors else None
     morphism = find_isomorphism(first, second, anchors=anchors)
     if morphism is None:
@@ -117,7 +72,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_complexity(args) -> int:
     from .documents import parse_observer
     from .metrics import complexity
-    observer = parse_observer(Path(args.observer).read_bytes())
+    observer = parse_observer(_read(args.observer))
     report = complexity(observer)
     scale, unit = (1 / LN2, "bits") if args.bits else (1.0, "nats")
     print(f"C = {report.complexity * scale:.4f} {unit}")
@@ -130,11 +85,12 @@ def _cmd_complexity(args) -> int:
 def _cmd_minimize(args) -> int:
     from .documents import parse_observer, serialize_observer
     from .morphism import minimize
-    observer = parse_observer(Path(args.observer).read_bytes())
+    observer = parse_observer(_read(args.observer))
     reduced, _, _ = minimize(observer)
     text = serialize_observer(reduced)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -170,7 +126,8 @@ def _cmd_hit(args) -> int:
     import json
     from .metrics import expected_hitting_time
     try:
-        raw = json.loads(Path(args.chain).read_text(encoding="utf-8"))
+        with open(args.chain, encoding="utf-8") as file:
+            raw = json.load(file)
     except UnicodeDecodeError as exc:
         raise ObskitError(f"chain file is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -207,37 +164,115 @@ def _cmd_ca(args) -> int:
     cells = _parse_pattern(args.init, args.width)
     if args.embed:
         from .documents import parse_observer
-        observer = parse_observer(Path(args.embed).read_bytes())
+        observer = parse_observer(_read(args.embed))
         system = ca_mod.embed(rule, cells, args.at, observer)
         rows, _ = ca_mod.run_embedded(system, args.steps)
     else:
         rows = ca_mod.ca_evolution(cells, rule, args.steps)
     print(ca_mod.render_text(rows))
     if args.pbm:
-        Path(args.pbm).write_bytes(ca_mod.pbm_bytes(rows))
+        with open(args.pbm, "wb") as file:
+            file.write(ca_mod.pbm_bytes(rows))
     return 0
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "equiv": _cmd_equiv,
-    "complexity": _cmd_complexity,
-    "minimize": _cmd_minimize,
-    "adapt": _cmd_adapt,
-    "hit": _cmd_hit,
-    "ca": _cmd_ca,
+# each subcommand's handler, help and add_argument calls, as (names, keywords), for build_parser,
+# _parse and dispatch
+_LOOP = ((("--observer",), {"required": True, "metavar": "FILE"}),  # what _loop reads
+         (("--env",), {"required": True, "metavar": "FILE"}),
+         (("--init",), {"required": True, "metavar": "X0,S0"}))
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "run an observer against an environment", _LOOP + (
+        (("--steps",), {"required": True, "type": int, "metavar": "N"}),
+        (("--trace",), {"choices": ("tsv", "jsonl"), "default": "tsv"}))),
+    "equiv": (_cmd_equiv, "decide whether two observers are relabelings", (
+        (("first",), {"metavar": "A.json"}),
+        (("second",), {"metavar": "B.json"}),
+        (("--anchors",), {"metavar": "XA,XB"}))),
+    "complexity": (_cmd_complexity, "capacity, redundancy, and reduced sizes", (
+        (("observer",), {"metavar": "FILE"}),
+        (("--bits",), {"action": "store_true", "help": "report in bits instead of nats"}))),
+    "minimize": (_cmd_minimize, "write the behaviorally reduced observer", (
+        (("observer",), {"metavar": "FILE"}),
+        (("-o", "--output"), {"metavar": "OUT"}))),
+    "adapt": (_cmd_adapt, "steps until a coupled run settles or meets a goal", _LOOP + (
+        (("--goal",), {"metavar": "EXPR", "help": "e.g. 'x=ON', 's=Hot', or 'x=ON,s=Hot'"}),
+        (("--cap",), {"type": int, "metavar": "N"}))),
+    "hit": (_cmd_hit, "expected hitting time of a Markov chain", (
+        (("--chain",), {"required": True, "metavar": "M.json"}),
+        (("--start",), {"required": True, "type": int, "metavar": "I"}),
+        (("--goal",), {"required": True, "metavar": "J,K"}))),
+    "ca": (_cmd_ca, "run an elementary cellular automaton", (
+        (("--rule",), {"required": True, "type": int, "metavar": "R"}),
+        (("--width",), {"required": True, "type": int, "metavar": "W"}),
+        (("--steps",), {"required": True, "type": int, "metavar": "T"}),
+        (("--init",), {"required": True, "metavar": "PATTERN", "help": "'single', 'zero', or an explicit bit string"}),
+        (("--embed",), {"metavar": "FILE", "help": "observer document to embed"}),
+        (("--at",), {"type": int, "default": 0, "metavar": "POS", "help": "block start index"}),
+        (("--pbm",), {"metavar": "OUT", "help": "also write the diagram as a P4 image"}))),
 }
+
+
+def build_parser():
+    import argparse
+    parser = argparse.ArgumentParser(prog="obskit", description="Simulate, compare, and measure finite observers.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for names, keywords in arguments:
+            p.add_argument(*names, **keywords)
+    return parser
+
+
+def _parse(argv: list[str]):
+    """``build_parser().parse_args(argv)`` for a call spelled in full, else None: a known subcommand,
+    then positionals and exact option names, each value in the next word.  Argparse reads the rest."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fields, named, waiting, given = {}, {}, [], {}
+    for names, keywords in _COMMANDS[argv[0]][2]:
+        dest = next((n for n in names if n[:2] == "--"), names[0]).lstrip("-").replace("-", "_")  # argparse's rule
+        fields[dest] = keywords
+        if names[0][0] == "-":
+            named.update(dict.fromkeys(names, dest))
+        else:
+            waiting.append(dest)
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-" and waiting:
+            dest, value = waiting.pop(0), word
+        elif word not in named:
+            return None
+        elif fields[named[word]].get("action") == "store_true":
+            given[named[word]] = True
+            continue
+        else:
+            dest, value = named[word], next(words, "-")  # a missing value reads as one starting with "-"
+            if value[:1] == "-":
+                return None
+        keywords = fields[dest]
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[dest] = value
+    if waiting or any(keywords.get("required") and dest not in given for dest, keywords in fields.items()):
+        return None
+    for dest, keywords in fields.items():
+        given.setdefault(dest, keywords.get("default", False if keywords.get("action") == "store_true" else None))
+    return SimpleNamespace(command=argv[0], **given)
 
 
 def dispatch(argv: list[str]) -> int:
     """Parse arguments and run one subcommand, returning the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ObskitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import obskit
 from obskit import ca
-from obskit.cli import dispatch
+from obskit.cli import _COMMANDS, _parse, build_parser, dispatch
 from obskit.documents import parse_observer
 
 from conftest import FIXTURES
+from test_parity import ARGVS as PARITY_ARGVS
 
 THERMO = str(FIXTURES / "thermostat.json")
 RENAMED = str(FIXTURES / "thermostat_renamed.json")
@@ -253,7 +258,7 @@ def test_internal_errors_are_not_reported_as_user_errors(monkeypatch):
     def broken(args):
         raise KeyError("x0")
 
-    monkeypatch.setitem(cli._HANDLERS, "hit", broken)
+    monkeypatch.setitem(cli._COMMANDS, "hit", (broken, *cli._COMMANDS["hit"][1:]))
     with pytest.raises(KeyError):
         dispatch(["hit", "--chain", CHAIN2, "--start", "0", "--goal", "1"])
 
@@ -339,9 +344,9 @@ def test_ca_bad_pattern_is_domain_error(capsys):
 # Each check runs in a fresh interpreter: the test process has already loaded
 # numpy, which conftest.py imports.
 
-def fresh_interpreter(code):
+def fresh_interpreter(code, *options):
     result = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\nprint('numpy' in sys.modules)"],
+        [sys.executable, *options, "-c", f"import sys\n{code}\nprint('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True,
     )
     return result.stdout.splitlines()
@@ -396,17 +401,19 @@ SUBMODULES = ["ca", "composition", "core", "documents", "errors", "metrics", "mo
 
 
 def loaded_after(code):
-    # the obskit modules, and json, that a fresh interpreter holds after running code
-    shown = "print(sorted(m for m in sys.modules if m == 'json' or m.split('.')[0] == 'obskit'))"
+    # the obskit modules that a fresh interpreter holds after running code, and which of
+    # json, argparse and the gettext and locale that argparse imports
+    shown = ("print(sorted(m for m in sys.modules if m in ('json', 'argparse', 'gettext', 'locale') "
+             "or m.split('.')[0] == 'obskit'))")
     return fresh_interpreter(f"{code}\n{shown}")[-2]
 
 
 def test_start_up_loads_only_the_modules_a_call_runs():
     assert loaded_after("import obskit") == "['obskit']"
     assert loaded_after("import obskit.cli") == "['obskit', 'obskit.cli', 'obskit.errors']"
-    # argparse, and the gettext it imports, wait for the first call that parses arguments
-    shown = "print([m for m in ('argparse', 'gettext') if m in sys.modules])"
-    assert fresh_interpreter(f"import obskit.cli\n{shown}")[-2] == "[]"
+    # a call spelled in full loads no argparse; help and usage errors do
+    for argv, code in ((["--help"], 0), (["frobnicate"], 2)):
+        assert "'argparse'" in loaded_after(f"from obskit.cli import dispatch; assert dispatch({argv!r}) == {code}")
     bare_ca = dispatching("ca", "--rule", "110", "--width", "15", "--steps", "10", "--init", "single")
     assert loaded_after(bare_ca) == "['obskit', 'obskit.ca', 'obskit.cli', 'obskit.core', 'obskit.errors']"
     # neither loads obskit.morphism, which only complexity, equiv and minimize run
@@ -415,6 +422,13 @@ def test_start_up_loads_only_the_modules_a_call_runs():
     adapt = dispatching("adapt", "--observer", THERMO, "--env", FLIP, "--init", "OFF,Cold")
     assert loaded_after(adapt) == ("['json', 'obskit', 'obskit.cli', 'obskit.core', 'obskit.documents', "
                                    "'obskit.errors', 'obskit.metrics']")
+
+
+def test_cli_loads_no_pathlib_where_site_does_not():
+    # -S skips site, which on some installations imports pathlib through a .pth file
+    found = f"sys.path.insert(0, {os.path.dirname(os.path.dirname(obskit.__file__))!r})"
+    bare_ca = dispatching("ca", "--rule", "110", "--width", "15", "--steps", "10", "--init", "single")
+    assert fresh_interpreter(f"{found}\n{bare_ca}\nprint('pathlib' in sys.modules)", "-S")[-2] == "False"
 
 
 def test_every_exported_name_resolves_to_its_module_attribute():
@@ -522,6 +536,54 @@ def test_help_and_usage_errors_of_the_loop_subcommands_are_pinned(capsys, argv):
     assert expected[0] == (0 if "--help" in argv else 2)
 
 
+# the table's option names; then values, and spellings that _parse leaves to argparse
+OPTION_NAMES = sorted({name for *_, arguments in _COMMANDS.values() for names, _ in arguments for name in names
+                       if name[0] == "-"})
+NEAR_MISSES = ["--ste", "--steps=5", "--", "-h", "--help", "-3", "-", "", " 8 ", "1_0", "x y", "frobnicate",
+               "-o=x", "7", "0", "tsv", "jsonl", "xml", "a.json", "OFF,Cold"]
+
+
+def fuzzed_argvs(rng, count):
+    """Parity argvs with words repeated, dropped, replaced or added, and argvs drawn from the words alone."""
+    words = [*_COMMANDS, *OPTION_NAMES, *NEAR_MISSES]
+    for _ in range(count):
+        argv = list(rng.choice(PARITY_ARGVS))
+        for _ in range(rng.randint(1, 2)):
+            i, edit = rng.randrange(len(argv) + 1), rng.randrange(4)
+            if edit == 0 or i == len(argv):
+                argv.insert(i, rng.choice(words))
+            elif edit == 1:
+                del argv[i]
+            elif edit == 2:
+                argv.insert(i, argv[i])
+            else:
+                argv[i] = rng.choice(words)
+        yield argv
+        yield [rng.choice([*_COMMANDS, "frobnicate"])] + rng.choices(words, k=rng.randint(0, 9))
+
+
+def test_a_call_read_without_argparse_is_read_as_argparse_reads_it():
+    parser, rng = build_parser(), random.Random(29)
+    read = 0
+    for argv in [*PARITY_ARGVS, *fuzzed_argvs(rng, 20_000)]:
+        fast = _parse(argv)
+        if fast is None:
+            continue
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                slow = vars(parser.parse_args(argv))
+            except SystemExit:
+                slow = "a usage error"
+        assert vars(fast) == slow, argv
+        read += 1
+    assert read > len(PARITY_ARGVS) + 1000
+
+
+def test_every_parity_call_without_a_value_starting_with_a_dash_is_read_without_argparse():
+    dashed = [argv for argv in PARITY_ARGVS if any(w[:1] == "-" and w not in OPTION_NAMES for w in argv)]
+    assert [argv for argv in PARITY_ARGVS if _parse(argv) is None] == dashed
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 
@@ -530,10 +592,15 @@ def test_unknown_flag_is_usage_error(capsys):
     assert run_cli(capsys, "complexity", THERMO, "--nats-please")[0] == 2
 
 
-def test_missing_file_is_domain_error(capsys):
-    code, _, err = run_cli(capsys, "complexity", "no-such-file.json")
-    assert code == 1
-    assert "error" in err
+@pytest.mark.parametrize("path, message", [
+    ("no-such-file.json", "[Errno 2] No such file or directory: 'no-such-file.json'"),
+    ("./no-such-file.json", "[Errno 2] No such file or directory: './no-such-file.json'"),
+    ("", "[Errno 2] No such file or directory: ''"),
+    (f"{THERMO}/", f"[Errno 20] Not a directory: '{THERMO}/'"),
+], ids=["missing", "missing-as-given", "empty", "file-as-directory"])
+def test_missing_file_is_domain_error(capsys, path, message):
+    # the path is opened and quoted as given
+    assert run_cli(capsys, "complexity", path) == (1, "", f"error: {message}\n")
 
 
 def test_console_entry_point_runs():
