@@ -7,12 +7,12 @@ selects bit 4a + 2b + c.  Lattices are cyclic.
 Inside, a row of w cells is packed into one int with cell i in bit
 w - 1 - i (cell 0 most significant, so the binary digits read like the
 cells), and one kernel, ``_step``, updates every row, bare or embedded:
-a cell becomes 1 where its neighborhood is one of the rule's minterms,
-which each call works out once.  An embedded run's loop carries only ints
-(the row, the block's state, each step's reading and new state) and
-builds its rows and records after the loop.  The diagrams ``ca_evolution``
-and ``run_embedded`` return are tuples of bit tuples that also keep those
-packed rows, and ``render_text`` and ``pbm_bytes`` read them.
+it XORs the neighbor-row products named by the rule's algebraic normal
+form, whose monomials each call works out once.  An embedded run's loop
+carries only ints (the row, the block's state, each step's reading and
+new state) and builds its rows and records after the loop.  The diagrams
+``ca_evolution`` and ``run_embedded`` return are tuples of 0/1 int tuples
+that also keep those packed rows, which ``render_text`` and ``pbm_bytes`` read.
 
 An embedded observer owns a contiguous block of cells.  The block bits,
 read left to right, are the binary code of its current state; the two
@@ -42,6 +42,7 @@ _CELLS = bytes.maketrans(b"01", b"\0\1")
 _TEXT = bytes.maketrans(b"\0\1", b".#")
 _GLYPHS = bytes.maketrans(b"01", b".#")
 _BIT = {abc: i for i, abc in enumerate(product((0, 1), repeat=3))}  # (a, b, c) is bit 4a + 2b + c
+_SUBSETS = (0x01, 0x03, 0x05, 0x0F, 0x11, 0x33, 0x55, 0xFF)  # bit s of entry m: s is a subset of m
 
 
 class CARule(_Record):
@@ -70,21 +71,21 @@ def rule_table(number: int) -> CARule:
     return CARule(number)
 
 
-def _minterms(rule) -> list[tuple[int, int, int]]:
-    """The neighborhoods (left, center, right) that ``rule`` maps to 1."""
+def _terms(rule) -> list[int]:
+    """The monomials m (left 4, center 2, right 1) of the rule's algebraic normal form."""
     number = _of_type(rule, CARule, "rule must be a CARule (see rule_table)").number
-    return [abc for abc, i in _BIT.items() if (number >> i) & 1]
+    return [m for m, subsets in enumerate(_SUBSETS) if (number & subsets).bit_count() & 1]
 
 
-def _step(row: int, width: int, minterms: list[tuple[int, int, int]]) -> int:
-    """One update of a packed cyclic row: a cell is 1 where its neighborhood is a minterm."""
+def _step(row: int, width: int, terms: list[int]) -> int:
+    """One update of a packed cyclic row: the XOR of the rule's monomials over the neighbor planes."""
     mask = (1 << width) - 1
     left = (row >> 1) | ((row & 1) << (width - 1))
     right = ((row << 1) & mask) | (row >> (width - 1))
-    planes = ((mask ^ left, left), (mask ^ row, row), (mask ^ right, right))
+    products = (mask, right, row, row & right, left, left & right, left & row, left & row & right)
     out = 0
-    for a, b, c in minterms:
-        out |= planes[0][a] & planes[1][b] & planes[2][c]
+    for m in terms:
+        out ^= products[m]
     return out
 
 
@@ -100,15 +101,14 @@ class _Diagram(tuple):
     """
 
 
-def _diagram(first: Bits, packed: list, width: int) -> tuple[Bits, ...]:
-    """``first``, then every later packed row unpacked."""
-    unpacked = (tuple(f"{r:0{width}b}".encode().translate(_CELLS)) for r in packed[1:])
-    diagram = _Diagram((first, *unpacked))
+def _diagram(packed: list, width: int) -> tuple[Bits, ...]:
+    """The packed rows, each unpacked into a tuple of int bits."""
+    diagram = _Diagram(tuple(f"{r:0{width}b}".encode().translate(_CELLS)) for r in packed)
     diagram._packed = tuple(packed)
     return diagram
 
 
-def _check_cells(cells) -> Bits:
+def _check_cells(cells) -> bytes:
     try:
         cells = tuple(cells)
     except TypeError:
@@ -117,7 +117,7 @@ def _check_cells(cells) -> Bits:
         raise DefinitionError("lattice width must be at least 3")
     if cells.count(0) + cells.count(1) != len(cells):
         raise DefinitionError("lattice cells must be bits")
-    return cells
+    return bytes(map(bool, cells))
 
 
 def ca_step(cells, rule: CARule) -> Bits:
@@ -127,14 +127,14 @@ def ca_step(cells, rule: CARule) -> Bits:
 
 def ca_evolution(cells, rule: CARule, steps: int) -> tuple[Bits, ...]:
     """The initial row plus ``steps`` updates."""
-    minterms, steps = _minterms(rule), _integer(steps, "steps", 0)
+    terms, steps = _terms(rule), _integer(steps, "steps", 0)
     first = _check_cells(cells)
     width, row = len(first), _pack(first)
     packed = [row]
     for _ in range(steps):
-        row = _step(row, width, minterms)
+        row = _step(row, width, terms)
         packed.append(row)
-    return _diagram(first, packed, width)
+    return _diagram(packed, width)
 
 
 class EmbeddedSystem(_Record):
@@ -154,10 +154,10 @@ class EmbeddedSystem(_Record):
     observer: Observer
 
     def __post_init__(self) -> None:
-        _minterms(self.rule)
+        _terms(self.rule)
         start = _integer(self.block_start, "block start")
         k = _integer(self.block_width, "block width")
-        lattice = _check_cells(self.lattice)
+        lattice = tuple(_check_cells(self.lattice))
         width = len(lattice)
         obs = _of_type(self.observer, Observer, "observer must be an Observer")
         n_states = len(obs.states)
@@ -201,7 +201,7 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
     steps = _integer(steps, "steps", 0)
     system = _of_type(system, EmbeddedSystem, "system must be an EmbeddedSystem (see embed)")
     obs, first, k = system.observer, system.lattice, system.block_width
-    w, minterms, f, g = len(first), _minterms(system.rule), obs.f, obs.g
+    w, terms, f, g = len(first), _terms(system.rule), obs.f, obs.g
     low = w - system.block_start - k  # bit of the block's rightmost cell
     left, right, keep = (low + k) % w, (low - 1) % w, ~(((1 << k) - 1) << low)
     top = 1 << (k - 1)  # the block's leftmost cell in a state code
@@ -214,10 +214,10 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
         j = 2 * ((row >> left) & 1) + ((row >> right) & 1)
         code = f[state][j]
         state = held[code]
-        row = (_step(row, w, minterms) & keep) | (state << low)
+        row = (_step(row, w, terms) & keep) | (state << low)
         packed.append(row)
         moves.append((j, code))
-    rows = _diagram(first, packed, w)
+    rows = _diagram(packed, w)
     y, x, z = obs.inputs, obs.states, obs.outputs
     return rows, Trace([TraceRecord(t, y[j], x[held[code]], z[g[code]], rows[t + 1])
                         for t, (j, code) in enumerate(moves)])
@@ -226,12 +226,12 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
 def _block(rule: CARule, block_width: int, act, boundary: str) -> Observer:
     """The block whose bits step as ``rule`` would between the two sensed bits and which
     emits ``act(bits)`` from its new bits; ``boundary`` is formatted with the width read."""
-    minterms, block_width = _minterms(rule), _integer(block_width, "block width", 1)
+    terms, block_width = _terms(rule), _integer(block_width, "block width", 1)
     states = tuple(product((0, 1), repeat=block_width))
     pairs = tuple(product((0, 1), repeat=2))  # pair (l, r) has index 2l + r
     # state i between sensed bits l and r is the padded code 2 * (l * n + i) + r
     n = len(states)
-    f = tuple([tuple([(_step(2 * (l * n + i) + r, block_width + 2, minterms) >> 1) % n for l, r in pairs])
+    f = tuple([tuple([(_step(2 * (l * n + i) + r, block_width + 2, terms) >> 1) % n for l, r in pairs])
                for i in range(n)])
     return Observer._of_rows(states, pairs, pairs, f, tuple([pairs.index(act(bits)) for bits in states]),
                              boundary.format(block_width))
