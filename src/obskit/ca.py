@@ -89,9 +89,9 @@ def _step(row: int, width: int, terms: list[int]) -> int:
     return out
 
 
-def _pack(cells) -> int:
-    """The packed row of ``cells``; a truthy cell is a 1."""
-    return int(bytes(map(bool, cells)).translate(_DIGITS) or b"0", 2)
+def _pack(bits: bytes) -> int:
+    """The packed row of ``bits``, one 0 or 1 byte per cell."""
+    return int(bits.translate(_DIGITS) or b"0", 2)
 
 
 class _Diagram(tuple):
@@ -208,7 +208,7 @@ def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], 
     # the block a new state leaves: its pattern, then the left and the right action bit
     held = [((code & ~top | top * (z >> 1)) & ~1) | (z & 1) for code, z in enumerate(g)]
 
-    row = _pack(first)
+    row = _pack(bytes(first))
     state, packed, moves = (row >> low) & (2 * top - 1), [row], []
     for _ in range(steps):
         j = 2 * ((row >> left) & 1) + ((row >> right) & 1)
@@ -273,7 +273,7 @@ def pbm_bytes(rows) -> bytes:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise DefinitionError("all diagram rows must have equal width")
-        packed = map(_pack, rows)
+        packed = (_pack(bytes(map(bool, row))) for row in rows)
     size = (width + 7) // 8
     pad = 8 * size - width
     header = f"P4\n{width} {len(rows)}\n".encode("ascii")

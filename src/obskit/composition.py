@@ -321,7 +321,9 @@ def record_fact(
         raise LedgerOrderError(
             f"step {step} precedes already recorded step {last} for {_shown(observer_id)}"
         )
-    return FactLedger(ledger.entries + (FactEntry(observer_id, step, received, state),))
+    extended = FactLedger.__new__(FactLedger)  # the old entries were checked when their ledger was built
+    extended._assign(entries=ledger.entries + (FactEntry(observer_id, step, received, state),))
+    return extended
 
 
 def facts_relative_to(

@@ -4,9 +4,10 @@ Complexity is the log-capacity of the behaviorally reduced machine;
 redundancy is whatever the reduction removed.  Adaptation time counts loop
 steps until a deterministic coupled run settles, and the hitting-time
 solver bounds the stochastic analog through the first-passage system
-t = 1 + Q t: by a pure-Python state reduction up to ``_STDLIB_STATES``
-states, so a short process never loads numpy, and by numpy's LU above.
-Every chain takes the same checks and reachability.
+t = 1 + Q t by one subtraction-free state reduction: in pure Python up to
+``_STDLIB_STATES`` states, so a short process never loads numpy, and in
+numpy, 64 states at a time, above.  Every chain takes the same checks and
+reachability.
 """
 
 from __future__ import annotations
@@ -117,13 +118,13 @@ def expected_hitting_time(
     closed non-goal component), the system is singular and
     ``NumericalError`` is raised.
 
-    Every chain gets the same checks, messages and int-bitset reachability.
-    Up to 64 states it is solved in pure Python by state reduction (GTH),
-    whose pivots 1 - P_kk are read as each state's mass out, so every step
-    adds non-negative numbers; above, by numpy's LU, whose answer raises
-    ``NumericalError`` where 2 max t, a bound on the condition number, cannot
-    vouch for it to 1e-6.  The small path costs about 5 ms at 50 states and
-    7 ms at 64, against 0.3 and 0.4 ms for the LU path once numpy is loaded.
+    Every chain gets the same checks, messages and int-bitset reachability,
+    and the same solve: state reduction (GTH), whose pivots 1 - P_kk are read
+    as each state's mass out, so every step adds non-negative numbers.  It
+    runs in pure Python up to 64 states and in numpy above.  A zero pivot
+    raises ``NumericalError`` as singular, and so does an answer that
+    overflows.  The pure-Python path costs about 3 ms at 50 states and 5 ms
+    at 64, against 0.7 and 1.0 ms in numpy once it is loaded.
     """
     try:
         rows = list(transition_matrix)
@@ -153,8 +154,12 @@ def expected_hitting_time(
     region = visited & ~goal_bits
     if region & ~_reach(lambda j: int(digits[j::n], 2), n, goal_bits, 0, region):
         raise NumericalError("a closed non-goal component is reachable from the start")
-    region = [i for i, bit in enumerate(f"{region:0{n}b}") if bit == "1"]
-    return (_eliminate if small else _lu)(P, region, start)
+    bits = f"{region:0{n}b}"  # the states to fold, the start first; outside them, the goal and states none moves to
+    order = [start] + [i for i in range(n) if bits[i] == "1" and i != start]
+    t = (_eliminate if small else _reduce)(P, order, [i for i in range(n) if bits[i] == "0"])
+    if not math.isfinite(t):
+        raise NumericalError("expected hitting time overflows")
+    return t
 
 
 def _floats(rows: list) -> tuple[list, list]:
@@ -220,10 +225,8 @@ def _reach(edges: Callable[[int], int], n: int, seeds: int, blocked: int, wanted
     return reached
 
 
-def _eliminate(P: list, region: list[int], start: int) -> float:
-    """The expected steps from ``start``, by subtraction-free state reduction (Grassmann, Taksar and Heyman, 1985)."""
-    order = [start] + [i for i in region if i != start]
-    outside = sorted(set(range(len(P))).difference(region))  # the goal, and states no region row moves to
+def _eliminate(P: list, order: list[int], outside: list[int]) -> float:
+    """The expected steps from ``order[0]``, by subtraction-free state reduction (Grassmann, Taksar and Heyman, 1985)."""
     # each row: the state's reward, its exit mass into the goal, and its moves to the states in ``order``; the last
     # state is folded into each other one, adding its row times the move into it over its pivot, until the start is left
     A = [[1.0, sum([P[i][j] for j in outside])] + [P[i][j] for j in order] for i in order]
@@ -236,22 +239,29 @@ def _eliminate(P: list, region: list[int], start: int) -> float:
         for other in A:
             if f := other.pop() / pivot:
                 other[:] = [a + f * b for a, b in zip(other, row)]
-    t = row[0] / pivot  # the start's reward over its exit
-    if not math.isfinite(t):
-        raise NumericalError("expected hitting time overflows")
-    return t
+    return row[0] / pivot  # the start's reward over its exit
 
 
-def _lu(P, region: list[int], start: int) -> float:
-    """The expected steps from ``start``, by numpy's LU solve of (I - Q) t = 1 on ``region``."""
+def _reduce(P, order: list[int], outside: list[int]) -> float:
+    """``_eliminate``'s reduction in numpy, 64 states at a time from the end of ``order``.
+
+    Each block's rows fold among themselves as narrow rows [reward | mass out of the block | moves within it |
+    identity], whose identity part T says what each folded row is made of.  The rest's multipliers on the block
+    form a lower-triangular S, one column per state, so the rest take the whole fold in one product.  Every step
+    adds non-negative numbers; an overflow leaves a non-finite answer, which the caller refuses.
+    """
     import numpy as np
-    A = np.eye(len(region)) - P[np.ix_(region, region)]
-    try:
-        t = np.linalg.solve(A, np.ones(len(region)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"reduced first-passage system is singular: {exc}") from None
-    # (I - Q)^-1 >= 0, so the condition number of I - Q is at most 2 max |t|: LU is trusted to 1e-6 relative
-    bound = 2.0 * abs(t).max()
-    if not bound * 2.0**-53 <= 1e-6:
-        raise NumericalError(f"first-passage system too ill-conditioned: condition number up to {bound:.3g}")
-    return float(t[region.index(start)])
+    A = np.column_stack([np.ones(len(order)), P[np.ix_(order, outside)].sum(axis=1), P[np.ix_(order, order)]])
+    with np.errstate(all="ignore"):
+        for hi in range(len(order), 0, -64):
+            lo = max(hi - 64, 0)
+            W = np.hstack([A[lo:, :1], A[lo:, 1:lo + 2].sum(axis=1, keepdims=True), A[lo:, lo + 2:], np.eye(hi - lo)])
+            S = np.eye(hi - lo)
+            for k in reversed(range(hi - lo)):
+                pivot = W[k, 1:k + 2].sum()  # the row's mass out, as in ``_eliminate``
+                if not pivot:
+                    raise NumericalError("reduced first-passage system is singular")
+                W[:k] += np.outer(W[:k, k + 2] / pivot, W[k])
+                S[k:, k] = (S[k:, k] + S[k:, k + 1:] @ W[k + 1:, k + 2]) / pivot
+            A = A[:lo, :lo + 2] + (A[:lo, lo + 2:] @ S) @ (W[:, hi - lo + 2:] @ A[lo:, :lo + 2])
+        return float(W[0, 0] / pivot)

@@ -16,6 +16,7 @@ import pytest
 
 from obskit import composition
 from obskit.composition import (
+    FactEntry,
     FactLedger,
     MetaRegistry,
     RuleFamily,
@@ -632,6 +633,20 @@ def test_last_step_is_the_latest_step_of_that_observer():
     assert ledger.last_step("a") == 2
     assert ledger.last_step("b") == 7
     assert ledger.last_step("c") is None
+
+
+def test_record_fact_checks_no_old_entry_again(monkeypatch):
+    # every call used to re-check the whole ledger, so n calls made n * n / 2 entry checks
+    old = FactLedger(tuple(FactEntry(i % 5, i // 5, "ping", "heard") for i in range(1000)))
+    checked = []
+    monkeypatch.setattr(composition, "_each", lambda values, cls, claim: checked.extend(values))
+    ledger = record_fact(old, "probe-a", 200, "pong", "echoed")
+    assert not set(checked) & set(old.entries)
+    monkeypatch.undo()
+    built = FactLedger(old.entries + (FactEntry("probe-a", 200, "pong", "echoed"),))
+    assert type(ledger) is FactLedger and len(old.entries) == 1000
+    assert (ledger, hash(ledger), repr(ledger)) == (built, hash(built), repr(built))
+    assert pickle.loads(pickle.dumps(ledger)) == built
 
 
 def test_facts_relative_to_unknown_observer_is_empty():

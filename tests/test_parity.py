@@ -5,11 +5,11 @@ holds a copy of ``fixtures/`` and the documents this module generates from
 seeded ``random.Random`` instances, so every path a message can show is
 relative.  A case is pinned in ``tests/parity.json`` by its exit code and
 the SHA-256 digests of its stdout, its stderr and each file it writes.
-``hit`` on a chain of more than 64 states prints a LAPACK float whose last
-digits may differ between numpy builds; on a smaller chain it prints the
-result of a pure-Python state reduction, which may differ from LAPACK's in
-the last digits.  So its value is compared to 1e-9 relative, and the rest of
-its stdout by digest.
+``hit`` on a chain of more than 64 states prints the result of a state
+reduction in numpy, whose matrix products may round differently between
+numpy builds; on a smaller chain, that of the same reduction in pure
+Python, which adds in another order.  So its value is compared to 1e-9
+relative, and the rest of its stdout by digest.
 
 The digests are a contract.  They change only through
 
