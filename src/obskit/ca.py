@@ -28,8 +28,6 @@ environment through the standard coupling.  One routine, ``_block``,
 builds both the transparent and the damping block, from int rows.
 """
 
-from __future__ import annotations
-
 from itertools import product
 from types import MappingProxyType
 

@@ -6,8 +6,6 @@ imports only the modules it runs, and no pathlib; argparse is imported only for
 ``--help``, a usage error or a spelling ``_parse`` leaves to it.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from types import SimpleNamespace

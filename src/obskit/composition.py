@@ -15,8 +15,6 @@ crossed which boundary, exercised end to end by the bundled two-observer
 lab script.
 """
 
-from __future__ import annotations
-
 import threading
 import weakref
 from collections import defaultdict

@@ -22,12 +22,10 @@ derived from checked ones (a stack, a quotient, a CA block) enters through
 system derives once; labels are looked up only for what callers get back.
 """
 
-from __future__ import annotations
-
 import operator
 from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
 from itertools import islice, pairwise, repeat
-from types import MappingProxyType
+from types import MappingProxyType, UnionType
 
 from .errors import DefinitionError, IdentifierError, IncompatibleAlphabetsError, _shown
 
@@ -144,26 +142,27 @@ class _Record:
     """An immutable value whose fields are its class's annotated attributes, in order.
 
     A field's default is its class attribute.  The one ``__init__`` of every
-    record binds fields by position or keyword and stores each as its
-    annotation says: ``Mapping…`` as a read-only ``types.MappingProxyType``
-    over a private dict copy, ``tuple…`` as a tuple, and ``None`` only under
-    ``| None``; what it cannot store so is a DefinitionError.  Then
-    ``__post_init__``, if any, sets derived attributes with ``_assign``, which
-    stores dicts as read-only views too.  ``==`` and ``hash`` use ``_compare``
-    (the fields by default; a view hashes by its items), ``repr`` shows the
-    fields, and pickling calls the constructor.
+    record binds fields by position or keyword and stores each as its evaluated
+    annotation says, an alias such as ``ca.Bits`` too: ``Mapping…`` as a
+    read-only ``types.MappingProxyType`` over a private dict copy, ``tuple…`` as
+    a tuple, and ``None`` only under ``| None``; what it cannot store so is a
+    DefinitionError.  Then ``__post_init__``, if any, sets derived attributes
+    with ``_assign``, which stores dicts as read-only views too.  ``==`` and
+    ``hash`` use ``_compare`` (the fields by default; a view hashes by its
+    items), ``repr`` shows the fields, and pickling calls the constructor.
     """
 
     _fields: tuple[str, ...] = ()
     _frozen: tuple = ()  # (position, name, kind, None allowed) of each container field
-    _stores = {"Mapping": lambda value: MappingProxyType(dict(value)), "tuple": tuple}  # by kind
+    _stores = {Mapping: lambda value: MappingProxyType(dict(value)), tuple: tuple}  # by kind
     __post_init__ = None
 
     def __init_subclass__(cls) -> None:
-        own = cls.__dict__.get("__annotations__", {})
-        for i, (name, note) in enumerate(own.items(), len(cls._fields)):  # strings: postponed evaluation
-            if (kind := note.partition("[")[0].partition(" ")[0]) in cls._stores:
-                cls._frozen += ((i, name, kind, note.endswith("| None")),)
+        own = cls.__annotations__  # the class's own, evaluated
+        for i, (name, note) in enumerate(own.items(), len(cls._fields)):
+            member = note.__args__[0] if (optional := isinstance(note, UnionType)) else note  # X | None: X
+            if (kind := getattr(member, "__origin__", member)) in cls._stores:  # tuple[int, ...]: tuple
+                cls._frozen += ((i, name, kind, optional),)
         cls._fields += tuple(own)
         names = getattr(cls, "_compare", cls._fields)
         key = operator.attrgetter(*names) if len(names) > 1 else lambda r: tuple(getattr(r, n) for n in names)
@@ -180,7 +179,7 @@ class _Record:
             try:
                 _set(self, field, None if args[i] is None and optional else self._stores[kind](args[i]))
             except (TypeError, ValueError):
-                raise DefinitionError(f"{type(self).__qualname__}.{field} cannot be stored as a {kind}: "
+                raise DefinitionError(f"{type(self).__qualname__}.{field} cannot be stored as a {kind.__name__}: "
                                       f"{_shown(args[i])}") from None
         if self.__post_init__:
             self.__post_init__()
@@ -252,7 +251,7 @@ class Observer(_Record):
         self._assign(f=f, g=tuple([zi[output_map[x]] for x in self.states]), state_index=si, input_index=yi)
 
     @classmethod
-    def _of_rows(cls, states: tuple, inputs: tuple, outputs: tuple, f: tuple, g: tuple, boundary: str) -> Observer:
+    def _of_rows(cls, states: tuple, inputs: tuple, outputs: tuple, f: tuple, g: tuple, boundary: str) -> "Observer":
         """The observer with int rows ``f`` (tuples) and ``g``, unchecked: rows built right from checked ones."""
         obs = cls.__new__(cls)  # attributes in __init__'s order, label views state-major: the same value
         obs._assign(states=states, inputs=inputs, outputs=outputs,

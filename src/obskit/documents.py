@@ -11,8 +11,6 @@ Serialization is canonical: object keys sorted, two-space indent, trailing
 newline, making equal machines byte-identical on disk.
 """
 
-from __future__ import annotations
-
 import json
 
 from .core import Environment, Observer, _of_type, check_total

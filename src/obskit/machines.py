@@ -1,7 +1,5 @@
 """Small ready-made machines used in docs, fixtures, and tests."""
 
-from __future__ import annotations
-
 from .core import Environment, Observer, _items
 from .errors import DefinitionError
 

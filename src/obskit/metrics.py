@@ -10,8 +10,6 @@ numpy, 64 states at a time, above.  Every chain takes the same checks and
 reachability.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Callable, Sequence
 

@@ -11,8 +11,6 @@ machine from int rows, and callers that need only its sizes
 (``complexity``, ``canonical_invariants``) read them there, building none.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping

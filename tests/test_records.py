@@ -3,7 +3,8 @@
 One instance of each of the 20 record types is checked for equality and
 hashing, pickling, immutability, argument binding and ``repr``; then the
 sequence fields are checked to be stored as tuples, so the values stay
-hashable whatever sequence they were built from.
+hashable whatever sequence they were built from, and a literal table pins
+which fields of each type are stored as a mapping or a tuple.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import copy
 import re
 import pickle
+from collections.abc import Mapping
 
 import pytest
 
@@ -35,7 +37,7 @@ from obskit.core import (
     Trace,
     TraceRecord,
 )
-from obskit.errors import DefinitionError
+from obskit.errors import DefinitionError, ObskitError
 from obskit.machines import thermostat
 from obskit.metrics import AdaptationResult, ComplexityReport
 from obskit.morphism import BehavioralPartition, MorphismCheck, ObserverMorphism
@@ -254,6 +256,60 @@ def test_records_with_mapping_fields_survive_pickle_and_deepcopy_with_their_hash
         assert copied == value and hash(copied) == hash(value)
 
 
+# -- which fields each record type stores as a container ---------------------------
+
+# (field, kind, None allowed) of every field stored as a read-only mapping or a tuple,
+# as the evaluated annotation says: an alias (EmbeddedSystem.lattice: ca.Bits) counts,
+# and a module that postponed its annotations again would stop storing its fields so
+CONTAINER_FIELDS = {
+    Observer: [("states", tuple, False), ("inputs", tuple, False), ("outputs", tuple, False),
+               ("transition", Mapping, False), ("output_map", Mapping, False)],
+    Environment: [("states", tuple, False), ("actions", tuple, False),
+                  ("transition", Mapping, False), ("observation", Mapping, False)],
+    TraceRecord: [],
+    Trace: [("steps", tuple, False)],
+    CoupledSystem: [],
+    MinimalityReport: [],
+    CARule: [],
+    EmbeddedSystem: [("lattice", tuple, False)],
+    Wiring: [("lift", Mapping, False), ("drop", Mapping, True)],
+    WellFoundedReport: [("cycle", tuple, True)],
+    RuleTable: [("transition", Mapping, False), ("output_map", Mapping, False)],
+    RuleFamily: [("tables", tuple, False), ("meta_update", Mapping, False)],
+    FactEntry: [],
+    FactLedger: [("entries", tuple, False)],
+    LabScriptRun: [],
+    ComplexityReport: [("reduced_sizes", tuple, False)],
+    AdaptationResult: [],
+    ObserverMorphism: [("state_map", Mapping, False), ("input_map", Mapping, False),
+                       ("output_map", Mapping, False)],
+    MorphismCheck: [("transition_failures", tuple, False), ("output_failures", tuple, False)],
+    BehavioralPartition: [("classes", tuple, False)],
+}
+
+
+def refused_as(cls, kwargs, field, value):
+    """The kind a record names when ``field`` holds ``value`` and it cannot store it so, else None."""
+    try:
+        cls(**{**copy.deepcopy(kwargs), field: value})
+    except ObskitError as error:
+        shape = rf"{cls.__qualname__}\.{field} cannot be stored as a (\w+): {re.escape(repr(value))}"
+        if found := re.fullmatch(shape, str(error)):
+            return found[1]
+    return None
+
+
+def test_the_container_table_covers_every_record_type():
+    assert list(CONTAINER_FIELDS) == [cls for cls, _, _ in SAMPLES]
+
+
+@pytest.mark.parametrize("cls, kwargs, required", SAMPLES, ids=IDS)
+def test_each_record_type_stores_the_pinned_container_fields(cls, kwargs, required):
+    stored = [(field, kind, refused_as(cls, kwargs, field, None) is None)
+              for field in kwargs if (kind := refused_as(cls, kwargs, field, 5))]
+    assert stored == [(field, kind.__name__, optional) for field, kind, optional in CONTAINER_FIELDS[cls]]
+
+
 # -- a container field that cannot be stored is a DefinitionError -----------------
 
 @pytest.mark.parametrize("call", [
@@ -287,3 +343,4 @@ def test_a_container_field_of_the_wrong_kind_is_a_definition_error(call):
 def test_a_ledger_or_trace_entry_that_is_not_its_record_is_a_definition_error(call, message):
     with pytest.raises(DefinitionError, match=f"^{re.escape(message)}$"):
         call()
+
