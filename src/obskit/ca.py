@@ -152,13 +152,11 @@ class EmbeddedSystem(_Record):
     observer: Observer
 
     def __post_init__(self) -> None:
-        _terms(self.rule)
         start = _integer(self.block_start, "block start")
         k = _integer(self.block_width, "block width")
         lattice = tuple(_check_cells(self.lattice))
         width = len(lattice)
-        obs = _of_type(self.observer, Observer, "observer must be an Observer")
-        n_states = len(obs.states)
+        n_states = len(self.observer.states)
         if n_states < 2 or n_states & (n_states - 1):
             raise EncodingError(
                 f"observer needs a power-of-two state count to encode a block, got {n_states}"
@@ -169,7 +167,7 @@ class EmbeddedSystem(_Record):
                 f"{n_states.bit_length() - 1} cells, not {k}"
             )
         for name, role in (("inputs", "the two frontier bits"), ("outputs", "its two action bits")):
-            if (size := len(getattr(obs, name))) != 4:
+            if (size := len(getattr(self.observer, name))) != 4:
                 raise EncodingError(f"observer needs exactly 4 {name} for {role}, got {size}")
         if k + 2 > width:
             raise DefinitionError(f"block of width {k} does not fit a lattice of width {width}")

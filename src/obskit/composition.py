@@ -21,7 +21,7 @@ from collections import defaultdict
 from collections.abc import Hashable, Iterable, Mapping
 from itertools import chain, product
 
-from .core import Ident, Observer, _each, _index, _integer, _items, _of_type, _Record, check_total
+from .core import Ident, Observer, _index, _integer, _items, _of_type, _Record, check_total
 from .errors import (
     DefinitionError,
     LedgerOrderError,
@@ -251,7 +251,6 @@ class RuleFamily(_Record):
     def __post_init__(self) -> None:
         if not self.tables:
             raise DefinitionError("rule family must contain at least one table")
-        _each(self.tables, RuleTable, "each rule family table must be a RuleTable")
 
 
 def second_order_wrap(
@@ -297,9 +296,6 @@ class FactLedger(_Record):
     """Append-only record of boundary crossings, per observer."""
 
     entries: tuple[FactEntry, ...] = ()
-
-    def __post_init__(self) -> None:
-        _each(self.entries, FactEntry, "each FactLedger entry must be a FactEntry")
 
     def last_step(self, observer_id: Hashable) -> int | None:
         return next((e.step for e in reversed(self.entries) if e.observer_id == observer_id), None)

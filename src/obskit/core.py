@@ -40,13 +40,6 @@ def _of_type(value, cls: type, claim: str):
     return value
 
 
-def _each(values: tuple, cls: type, claim: str) -> None:
-    """Check that each of ``values`` is a ``cls``; otherwise a DefinitionError stating ``claim`` shows the first."""
-    if not all(map(isinstance, values, repeat(cls))):
-        for value in values:
-            _of_type(value, cls, claim)
-
-
 def _integer(value, what: str, least: int | None = None) -> int:
     """``value`` as an int, which must be at least ``least`` when that is given."""
     try:
@@ -144,16 +137,17 @@ class _Record:
     A field's default is its class attribute.  The one ``__init__`` of every
     record binds fields by position or keyword and stores each as its evaluated
     annotation says, an alias such as ``ca.Bits`` too: ``Mapping…`` as a
-    read-only ``types.MappingProxyType`` over a private dict copy, ``tuple…`` as
-    a tuple, and ``None`` only under ``| None``; what it cannot store so is a
-    DefinitionError.  Then ``__post_init__``, if any, sets derived attributes
-    with ``_assign``, which stores dicts as read-only views too.  ``==`` and
-    ``hash`` use ``_compare`` (the fields by default; a view hashes by its
-    items), ``repr`` shows the fields, and pickling calls the constructor.
+    read-only ``MappingProxyType`` over a private dict copy, ``tuple…`` as a
+    tuple, a record type ``R`` only as an ``R``, ``tuple[R, ...]`` as ``R``s
+    only, and ``None`` only under ``| None``; else a DefinitionError.  Then
+    ``__post_init__``, if any, sets derived attributes with ``_assign``, which
+    stores dicts as read-only views too.  ``==`` and ``hash`` use ``_compare``
+    (the fields by default; a view hashes by its items), ``repr`` shows the
+    fields, and pickling calls the constructor.
     """
 
     _fields: tuple[str, ...] = ()
-    _frozen: tuple = ()  # (position, name, kind, None allowed) of each container field
+    _frozen: tuple = ()  # (position, name, kind stored or None, None allowed, record type held or None)
     _stores = {Mapping: lambda value: MappingProxyType(dict(value)), tuple: tuple}  # by kind
     __post_init__ = None
 
@@ -161,8 +155,11 @@ class _Record:
         own = cls.__annotations__  # the class's own, evaluated
         for i, (name, note) in enumerate(own.items(), len(cls._fields)):
             member = note.__args__[0] if (optional := isinstance(note, UnionType)) else note  # X | None: X
-            if (kind := getattr(member, "__origin__", member)) in cls._stores:  # tuple[int, ...]: tuple
-                cls._frozen += ((i, name, kind, optional),)
+            kind = getattr(member, "__origin__", member)  # tuple[int, ...]: tuple
+            held = member.__args__[0] if getattr(member, "__args__", ())[1:] == (...,) else kind  # tuple[R, ...]: R
+            held = held if type(held) is type and issubclass(held, _Record) else None
+            if (kind := kind if kind in cls._stores else None) or held:
+                cls._frozen += ((i, name, kind, optional, held),)
         cls._fields += tuple(own)
         names = getattr(cls, "_compare", cls._fields)
         key = operator.attrgetter(*names) if len(names) > 1 else lambda r: tuple(getattr(r, n) for n in names)
@@ -175,12 +172,19 @@ class _Record:
         # one at a time: filling __dict__ makes CPython 3.11 read every attribute slowly
         for field, value in zip(fields, args):
             _set(self, field, value)
-        for i, field, kind, optional in self._frozen:  # container fields: reset to what their annotations say
+        for i, field, kind, optional, held in self._frozen:  # reset, then check, as annotated
+            if (value := args[i]) is None and optional:
+                continue
             try:
-                _set(self, field, None if args[i] is None and optional else self._stores[kind](args[i]))
+                _set(self, field, value := self._stores[kind](value) if kind else value)
             except (TypeError, ValueError):
                 raise DefinitionError(f"{type(self).__qualname__}.{field} cannot be stored as a {kind.__name__}: "
-                                      f"{_shown(args[i])}") from None
+                                      f"{_shown(value)}") from None
+            if held and not all(map(isinstance, items := value if kind else (value,), repeat(held))):
+                what = f"each {type(self).__qualname__}.{field} item" if kind else field
+                for value in items:  # the first that is not a ``held`` is named
+                    _of_type(value, held, f"{what} must be {'an' if held.__name__[0] in 'AEIOU' else 'a'} "
+                                          f"{held.__name__}")
         if self.__post_init__:
             self.__post_init__()
 
@@ -330,9 +334,6 @@ class Trace(_Record):
 
     steps: tuple[TraceRecord, ...] = ()
 
-    def __post_init__(self) -> None:
-        _each(self.steps, TraceRecord, "each Trace step must be a TraceRecord")
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -363,8 +364,7 @@ class CoupledSystem(_Record):
     environment: Environment
 
     def __post_init__(self) -> None:
-        obs = _of_type(self.observer, Observer, "observer must be an Observer")
-        env = _of_type(self.environment, Environment, "environment must be an Environment")
+        obs, env = self.observer, self.environment
         unknown = set(env.readings) - set(obs.inputs)
         if unknown:
             raise IncompatibleAlphabetsError("environment offers readings the observer cannot sense: "

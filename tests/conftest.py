@@ -211,6 +211,22 @@ def cycle_oracle(graph: dict) -> bool:
     return any(reach[i][i] for i in range(n))
 
 
+def cycle_flags(size: int, pairs: list[tuple[int, int]]) -> list[bool]:
+    """Whether the digraph of each mask over ``pairs`` on nodes 0..size-1 is cyclic, for all masks at once.
+
+    Bit b of a mask is edge ``pairs[b]``.  Boolean reachability by matrix powers:
+    a digraph is acyclic iff its adjacency matrix A is nilpotent, A^size = 0, so
+    A is squared, batched over every mask, until the power is at least ``size``.
+    """
+    masks = np.arange(2 ** len(pairs))
+    power = np.zeros((len(masks), size, size), dtype=np.uint8)
+    for b, (u, v) in enumerate(pairs):
+        power[:, u, v] = masks >> b & 1
+    for _ in range((size - 1).bit_length()):
+        power = np.minimum(power @ power, 1)
+    return power.any(axis=(1, 2)).tolist()
+
+
 # -- closed-loop reachability oracle -----------------------------------------------
 
 def reachable_joints_oracle(system: CoupledSystem, starts) -> tuple:

@@ -42,6 +42,7 @@ from obskit.morphism import (
 from conftest import (
     FIXTURES,
     brute_force_isomorphism,
+    cycle_flags,
     cycle_oracle,
     eca_oracle_run,
     mc_hitting_oracle,
@@ -240,12 +241,14 @@ def test_criterion_7_composition_and_relational_facts():
         right = stack(a, stack(b, c, wiring), wiring)
         assert equivalent(left, right)
 
-    # cycle detection against the transitive-closure oracle:
-    # every digraph on up to 4 nodes (self-loops included), every loop-free
-    # digraph on 5 nodes, and sampled 5-node digraphs with self-loops
+    # cycle detection against the transitive-closure oracle: every digraph on
+    # up to 4 nodes (self-loops included), where the batched matrix-power
+    # oracle is checked against it too; every loop-free digraph on 5 nodes,
+    # against the batched oracle; and sampled 5-node digraphs with self-loops
     for size in range(1, 5):
         nodes = tuple(f"n{i}" for i in range(size))
         pairs = [(u, v) for u in nodes for v in nodes]
+        cyclic = cycle_flags(size, [(u, v) for u in range(size) for v in range(size)])
         for mask in range(2 ** len(pairs)):
             graph = {n: [] for n in nodes}
             m = mask
@@ -253,18 +256,19 @@ def test_criterion_7_composition_and_relational_facts():
                 if m & 1:
                     graph[u].append(v)
                 m >>= 1
-            assert check_well_founded(graph).well_founded == (not cycle_oracle(graph))
+            assert cyclic[mask] == cycle_oracle(graph)
+            assert check_well_founded(graph).well_founded == (not cyclic[mask])
 
+    # bits 4u..4u+3 of a mask are node u's edges to the other four nodes, in order,
+    # so each node's targets are read from a table of its 16 edge sets
     nodes = tuple(f"n{i}" for i in range(5))
-    loopless = [(u, v) for u in nodes for v in nodes if u != v]
-    for mask in range(2 ** len(loopless)):
-        graph = {n: [] for n in nodes}
-        m = mask
-        for (u, v) in loopless:
-            if m & 1:
-                graph[u].append(v)
-            m >>= 1
-        assert check_well_founded(graph).well_founded == (not cycle_oracle(graph))
+    others = [[v for v in range(5) if v != u] for u in range(5)]
+    cyclic = cycle_flags(5, [(u, v) for u in range(5) for v in others[u]])
+    tables = [(node, 4 * u, [[nodes[v] for k, v in enumerate(others[u]) if bits >> k & 1] for bits in range(16)])
+              for u, node in enumerate(nodes)]
+    for mask in range(2 ** 20):
+        graph = {node: table[mask >> shift & 15] for node, shift, table in tables}
+        assert check_well_founded(graph).well_founded == (not cyclic[mask])
 
     sampler = random.Random(9090)
     for _ in range(5000):

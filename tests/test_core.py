@@ -359,7 +359,7 @@ def test_a_collection_argument_that_is_not_iterable_is_a_definition_error(call, 
     (lambda system: second_order_wrap(5, ("y",), ("z",), 5), "states must be iterable"),
     (lambda system: second_order_wrap(("a",), ("y",), ("z",), 5), "family must be a RuleFamily"),
     (lambda system: second_order_wrap(("a",), ("y",), ("z",), RuleFamily((5,), {})),
-     "each rule family table must be a RuleTable"),
+     "each RuleFamily.tables item must be a RuleTable"),
     (lambda system: record_fact(FactLedger(), "o", "1", "y", "a"), "step must be an integer"),
     (lambda system: facts_relative_to(record_fact(FactLedger(), "o", 1, "y", "a"), "o", "2"),
      "step must be an integer"),

@@ -3,8 +3,9 @@
 One instance of each of the 20 record types is checked for equality and
 hashing, pickling, immutability, argument binding and ``repr``; then the
 sequence fields are checked to be stored as tuples, so the values stay
-hashable whatever sequence they were built from, and a literal table pins
-which fields of each type are stored as a mapping or a tuple.
+hashable whatever sequence they were built from, and two literal tables pin
+which fields of each type are stored as a mapping or a tuple, and which must
+hold a record or a tuple of records.
 """
 
 from __future__ import annotations
@@ -310,6 +311,62 @@ def test_each_record_type_stores_the_pinned_container_fields(cls, kwargs, requir
     assert stored == [(field, kind.__name__, optional) for field, kind, optional in CONTAINER_FIELDS[cls]]
 
 
+# -- which fields each record type checks to hold records ------------------------
+
+# (field, record type, whether it is a tuple of them) of every field that must hold a
+# record, or only records, as its evaluated annotation (R, or tuple[R, ...]) says
+RECORD_FIELDS = {
+    Observer: [],
+    Environment: [],
+    TraceRecord: [],
+    Trace: [("steps", TraceRecord, True)],
+    CoupledSystem: [("observer", Observer, False), ("environment", Environment, False)],
+    MinimalityReport: [],
+    CARule: [],
+    EmbeddedSystem: [("rule", CARule, False), ("observer", Observer, False)],
+    Wiring: [],
+    WellFoundedReport: [],
+    RuleTable: [],
+    RuleFamily: [("tables", RuleTable, True)],
+    FactEntry: [],
+    FactLedger: [("entries", FactEntry, True)],
+    LabScriptRun: [("ledger", FactLedger, False)],
+    ComplexityReport: [],
+    AdaptationResult: [],
+    ObserverMorphism: [],
+    MorphismCheck: [],
+    BehavioralPartition: [],
+}
+
+
+def claim(cls, field, record, each):
+    """The message a record gives when ``field`` holds 5, or the tuple (5,), and must hold ``record``s."""
+    what = f"each {cls.__qualname__}.{field} item" if each else field
+    return f"{what} must be {'an' if record.__name__[0] in 'AEIOU' else 'a'} {record.__name__}, got 5"
+
+
+def held_as(cls, kwargs, field):
+    """(record type, tuple of them) whose message a record gives when ``field`` holds 5 or (5,), else None."""
+    for value, each in ((5, False), ((5,), True)):
+        try:
+            cls(**{**copy.deepcopy(kwargs), field: value})
+        except ObskitError as error:
+            for record in RECORD_FIELDS:
+                if str(error) == claim(cls, field, record, each):
+                    return record, each
+    return None
+
+
+def test_the_record_field_table_covers_every_record_type():
+    assert list(RECORD_FIELDS) == [cls for cls, _, _ in SAMPLES]
+
+
+@pytest.mark.parametrize("cls, kwargs, required", SAMPLES, ids=IDS)
+def test_each_record_type_checks_the_pinned_record_fields(cls, kwargs, required):
+    held = [(field, *found) for field in kwargs if (found := held_as(cls, kwargs, field))]
+    assert held == RECORD_FIELDS[cls]
+
+
 # -- a container field that cannot be stored is a DefinitionError -----------------
 
 @pytest.mark.parametrize("call", [
@@ -334,11 +391,13 @@ def test_a_container_field_of_the_wrong_kind_is_a_definition_error(call):
 
 @pytest.mark.parametrize("call, message", [
     # both used to be accepted, and to fail later with a bare AttributeError
-    (lambda: record_fact(FactLedger((5,)), "o", 1, "y", "a"), "each FactLedger entry must be a FactEntry, got 5"),
-    (lambda: Trace([5]).joint_states(), "each Trace step must be a TraceRecord, got 5"),
-    (lambda: FactLedger([FactEntry("o", 1, "y", "a"), None]), "each FactLedger entry must be a FactEntry, got None"),
+    (lambda: record_fact(FactLedger((5,)), "o", 1, "y", "a"),
+     "each FactLedger.entries item must be a FactEntry, got 5"),
+    (lambda: Trace([5]).joint_states(), "each Trace.steps item must be a TraceRecord, got 5"),
+    (lambda: FactLedger([FactEntry("o", 1, "y", "a"), None]),
+     "each FactLedger.entries item must be a FactEntry, got None"),
     (lambda: Trace(steps=(TraceRecord(0, "y", "x", "z", "s"), ("y", "x"))),
-     "each Trace step must be a TraceRecord, got ('y', 'x')"),
+     "each Trace.steps item must be a TraceRecord, got ('y', 'x')"),
 ], ids=["ledger-int", "trace-int", "ledger-none-after-an-entry", "trace-tuple-after-a-step"])
 def test_a_ledger_or_trace_entry_that_is_not_its_record_is_a_definition_error(call, message):
     with pytest.raises(DefinitionError, match=f"^{re.escape(message)}$"):
