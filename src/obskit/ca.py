@@ -10,9 +10,9 @@ cells), and one kernel, ``_step``, updates every row, bare or embedded:
 it XORs the neighbor-row products named by the rule's algebraic normal
 form, whose monomials each call works out once.  An embedded run's loop
 carries only ints (the row, the block's state, each step's reading and
-new state) and builds its rows and records after the loop.  The diagrams
-``ca_evolution`` and ``run_embedded`` return are tuples of 0/1 int tuples
-that also keep those packed rows, which ``render_text`` and ``pbm_bytes`` read.
+new state) and builds its rows and records after the loop.  Diagrams are
+tuples of 0/1 int tuples that keep the packed rows, for ``pbm_bytes``, and
+their binary digits, one byte per cell, for ``render_text``.
 
 An embedded observer owns a contiguous block of cells.  The block bits,
 read left to right, are the binary code of its current state; the two
@@ -37,8 +37,7 @@ from .errors import DefinitionError, EncodingError, _shown
 Bits = tuple[int, ...]
 
 _CELLS = bytes.maketrans(b"01", b"\0\1")
-_TEXT = bytes.maketrans(b"\0\1", b".#")
-_GLYPHS = bytes.maketrans(b"01", b".#")
+_GLYPHS = bytes.maketrans(b"01\0\1", b".#.#")  # binary digits or 0/1 bytes to text
 _BIT = {abc: i for i, abc in enumerate(product((0, 1), repeat=3))}  # (a, b, c) is bit 4a + 2b + c
 _SUBSETS = (0x01, 0x03, 0x05, 0x0F, 0x11, 0x33, 0x55, 0xFF)  # bit s of entry m: s is a subset of m
 
@@ -49,8 +48,10 @@ class CARule(_Record):
     number: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.number, int) or not 0 <= self.number <= 255:
-            raise DefinitionError(f"rule number must be in 0..255, got {_shown(self.number)}")
+        try:  # stored as a plain int; range(256)[n] is n up to 255 and an IndexError above
+            self._assign(number=range(256)[_integer(self.number, "rule number", 0)])
+        except (DefinitionError, IndexError):
+            raise DefinitionError(f"rule number must be in 0..255, got {_shown(self.number)}") from None
 
     @property
     def table(self) -> MappingProxyType:
@@ -93,16 +94,18 @@ def _pack(bits: bytes) -> int:
 
 
 class _Diagram(tuple):
-    """Rows of bits, plus ``_packed``: the same rows packed, for the renderers.
+    """Rows of bits, plus the same rows packed (``_packed``, for P4) and as lines of binary digits
+    (``_text``, for text), which cost one byte per cell.
 
     Equality, hash and repr are the tuple's; slices and sums are plain tuples.
     """
 
 
 def _diagram(packed: list, width: int) -> tuple[Bits, ...]:
-    """The packed rows, each unpacked into a tuple of int bits."""
-    diagram = _Diagram(tuple(f"{r:0{width}b}".encode().translate(_CELLS)) for r in packed)
-    diagram._packed = tuple(packed)
+    """The packed rows as tuples of int bits, unpacked from their digits, which are formatted once and kept."""
+    text = "\n".join(map(f"{{:0{width}b}}".format, packed)).encode()
+    diagram = _Diagram(zip(*[iter(text.translate(_CELLS, b"\n"))] * width))
+    diagram._packed, diagram._text = tuple(packed), text
     return diagram
 
 
@@ -252,10 +255,9 @@ def damping_observer(rule: CARule, block_width: int) -> Observer:
 def render_text(rows) -> str:
     """Rows as text, one line per row, '.' for 0 and '#' for 1."""
     if isinstance(rows, _Diagram):
-        text = "\n".join(map(f"{{:0{len(rows[0])}b}}".format, rows._packed))
-        return text.encode().translate(_GLYPHS).decode("ascii")
+        return rows._text.translate(_GLYPHS).decode("ascii")
     rows = [_items(row, "a diagram row") for row in _items(rows, "rows")]
-    return "\n".join(bytes(map(bool, row)).translate(_TEXT).decode("ascii") for row in rows)
+    return "\n".join(bytes(map(bool, row)).translate(_GLYPHS).decode("ascii") for row in rows)
 
 
 def pbm_bytes(rows) -> bytes:

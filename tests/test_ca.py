@@ -62,9 +62,18 @@ def test_rule_0_and_rule_255_are_constant():
 
 
 def test_rule_number_out_of_range():
-    for bad in (-1, 256, 1000):
-        with pytest.raises(DefinitionError):
+    for bad in (-1, 256, 1000, np.int64(256), 1.0, 110.0, np.float64(110), "110", None, np.array([1, 2])):
+        with pytest.raises(DefinitionError, match=r"^rule number must be in 0\.\.255, got "):
             rule_table(bad)
+
+
+@pytest.mark.parametrize("number, want", [(np.int64(110), 110), (np.uint8(30), 30), (True, 1), (False, 0)],
+                         ids=["numpy-int64", "numpy-uint8", "true", "false"])
+def test_a_rule_number_is_read_as_an_index_and_stored_as_a_plain_int(number, want):
+    rule = rule_table(number)
+    assert type(rule.number) is int and rule.number == want and repr(rule) == f"CARule(number={want})"
+    assert rule == rule_table(want) and hash(rule) == hash(rule_table(want))
+    assert ca_evolution(single_seed(9), rule, 3) == ca_evolution(single_seed(9), rule_table(want), 3)
 
 
 def test_all_256_rules_round_trip():
@@ -476,6 +485,11 @@ def assert_renders_like_a_plain_copy(diagram):
         assert renders(part) == renders(tuple(map(tuple, part)))
 
 
+def assert_rows_are_int_tuples(diagram):
+    """Every row is exactly a tuple and every cell exactly an int: no bools, bytes or views."""
+    assert all(type(row) is tuple and all(type(cell) is int for cell in row) for row in diagram)
+
+
 def diagrams_of(number, width, steps, rng):
     """A bare run of one random row, and that row with a transparent and a damping block."""
     rule = rule_table(number)
@@ -492,6 +506,7 @@ def test_every_rule_renders_its_packed_rows_like_a_plain_copy():
     for number in range(256):
         for width in range(3, 21):
             for diagram in diagrams_of(number, width, (number + width) % 6, rng):
+                assert_rows_are_int_tuples(diagram)
                 assert_renders_like_a_plain_copy(diagram)
 
 
@@ -500,6 +515,7 @@ def test_wide_diagrams_render_their_packed_rows_like_a_plain_copy(width):
     rng = random.Random(width)
     for number in range(256):
         for diagram in diagrams_of(number, width, number % 4, rng):
+            assert_rows_are_int_tuples(diagram)
             plain = tuple(map(tuple, diagram))
             assert diagram == plain and renders(diagram) == renders(plain)
     for number in (30, 90, 110, 184):
