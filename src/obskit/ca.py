@@ -31,7 +31,7 @@ builds both the transparent and the damping block, from int rows.
 from itertools import product
 from types import MappingProxyType
 
-from .core import _DIGITS, Observer, Trace, TraceRecord, _integer, _items, _of_type, _Record
+from .core import _DIGITS, Observer, Trace, TraceRecord, _integer, _items, _of_type, _Record, _set
 from .errors import DefinitionError, EncodingError, _shown
 
 Bits = tuple[int, ...]
@@ -97,15 +97,19 @@ class _Diagram(tuple):
     """Rows of bits, plus the same rows packed (``_packed``, for P4) and as lines of binary digits
     (``_text``, for text), which cost one byte per cell.
 
-    Equality, hash and repr are the tuple's; slices and sums are plain tuples.
+    Equality, hash and repr are the tuple's; slices and sums are plain tuples.  As a ``_Record``
+    does, it refuses to set or delete any attribute.
     """
+
+    __setattr__ = __delattr__ = _Record.__setattr__
 
 
 def _diagram(packed: list, width: int) -> tuple[Bits, ...]:
     """The packed rows as tuples of int bits, unpacked from their digits, which are formatted once and kept."""
     text = "\n".join(map(f"{{:0{width}b}}".format, packed)).encode()
     diagram = _Diagram(zip(*[iter(text.translate(_CELLS, b"\n"))] * width))
-    diagram._packed, diagram._text = tuple(packed), text
+    _set(diagram, "_packed", tuple(packed))
+    _set(diagram, "_text", text)
     return diagram
 
 
@@ -139,24 +143,22 @@ def ca_evolution(cells, rule: CARule, steps: int) -> tuple[Bits, ...]:
 
 
 class EmbeddedSystem(_Record):
-    """A rule, a lattice, and the observer owning a block of its cells.
+    """A rule, a lattice, and the observer owning the block of its cells at ``block_start``.
 
-    The observer's sets are matched to the block positionally: state number
-    i encodes the block bit pattern with value i, inputs and outputs number
-    the four (left bit, right bit) pairs as 2*left + right.  The block must
-    lie inside the lattice without wrapping and leave at least two cells of
-    environment on it.
+    The observer's sets are matched to the block positionally: state number i encodes the
+    block bit pattern with value i, inputs and outputs number the four (left bit, right bit)
+    pairs as 2*left + right.  So the block is as wide as the state code; ``block_width``, that
+    width, is derived, not a field.  The block must lie inside the lattice without wrapping
+    and leave at least two cells of environment on it.
     """
 
     rule: CARule
     lattice: Bits
     block_start: int
-    block_width: int
     observer: Observer
 
     def __post_init__(self) -> None:
         start = _integer(self.block_start, "block start")
-        k = _integer(self.block_width, "block width")
         lattice = tuple(_check_cells(self.lattice))
         width = len(lattice)
         n_states = len(self.observer.states)
@@ -164,11 +166,7 @@ class EmbeddedSystem(_Record):
             raise EncodingError(
                 f"observer needs a power-of-two state count to encode a block, got {n_states}"
             )
-        if k != n_states.bit_length() - 1:
-            raise EncodingError(
-                f"observer with {n_states} states encodes a block of "
-                f"{n_states.bit_length() - 1} cells, not {k}"
-            )
+        k = n_states.bit_length() - 1
         for name, role in (("inputs", "the two frontier bits"), ("outputs", "its two action bits")):
             if (size := len(getattr(self.observer, name))) != 4:
                 raise EncodingError(f"observer needs exactly 4 {name} for {role}, got {size}")
@@ -180,13 +178,9 @@ class EmbeddedSystem(_Record):
 
 
 def embed(rule: CARule, lattice, block_start: int, observer: Observer) -> EmbeddedSystem:
-    """Designate a block of lattice cells as an embedded observer.
-
-    The block is as wide as the observer's state count encodes; see
-    ``EmbeddedSystem`` for the matching and the checks.
-    """
-    observer = _of_type(observer, Observer, "observer must be an Observer")
-    return EmbeddedSystem(rule, lattice, block_start, len(observer.states).bit_length() - 1, observer)
+    """Designate a block of lattice cells as an embedded observer: ``EmbeddedSystem(rule, lattice,
+    block_start, observer)``, which states the matching and the checks."""
+    return EmbeddedSystem(rule, lattice, block_start, observer)
 
 
 def run_embedded(system: EmbeddedSystem, steps: int) -> tuple[tuple[Bits, ...], Trace]:

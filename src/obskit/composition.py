@@ -284,12 +284,20 @@ def second_order_wrap(
 # -- observer-relative facts -------------------------------------------------
 
 class FactEntry(_Record):
-    """One boundary crossing: who recorded what, and when."""
+    """One boundary crossing: who recorded what, and when; the step is stored as a plain int."""
 
     observer_id: Hashable
     step: int
     received: Ident
     state: Ident
+
+    def __post_init__(self) -> None:
+        self._assign(step=_integer(self.step, "step"))
+        try:  # the ledger functions compare steps and look states up
+            hash((self.observer_id, self.received, self.state))
+        except TypeError:
+            raise DefinitionError("a fact entry's observer, reading and state must be hashable, got "
+                                  f"{_shown((self.observer_id, self.received, self.state))}") from None
 
 
 class FactLedger(_Record):
@@ -310,13 +318,13 @@ def record_fact(
 ) -> FactLedger:
     """Extend the ledger by one entry; steps per observer must not go back."""
     last = _of_type(ledger, FactLedger, "ledger must be a FactLedger").last_step(observer_id)
-    step = _integer(step, "step")
-    if last is not None and step < last:
+    entry = FactEntry(observer_id, step, received, state)
+    if last is not None and entry.step < last:
         raise LedgerOrderError(
-            f"step {step} precedes already recorded step {last} for {_shown(observer_id)}"
+            f"step {entry.step} precedes already recorded step {last} for {_shown(observer_id)}"
         )
     extended = FactLedger.__new__(FactLedger)  # the old entries were checked when their ledger was built
-    extended._assign(entries=ledger.entries + (FactEntry(observer_id, step, received, state),))
+    extended._assign(entries=ledger.entries + (entry,))
     return extended
 
 

@@ -119,10 +119,10 @@ def expected_hitting_time(
     Every chain gets the same checks, messages and int-bitset reachability,
     and the same solve: state reduction (GTH), whose pivots 1 - P_kk are read
     as each state's mass out, so every step adds non-negative numbers.  It
-    runs in pure Python up to 64 states and in numpy above.  A zero pivot
-    raises ``NumericalError`` as singular, and so does an answer that
-    overflows.  The pure-Python path costs about 3 ms at 50 states and 5 ms
-    at 64, against 0.7 and 1.0 ms in numpy once it is loaded.
+    runs in pure Python up to 64 states and in numpy above.  With closed
+    components refused, a zero pivot can only be an underflow, which raises
+    ``NumericalError``, as an answer that overflows does.  Pure Python takes
+    about 3 ms at 50 states and 5 ms at 64; numpy, once loaded, 0.7 and 1.0 ms.
     """
     try:
         rows = list(transition_matrix)
@@ -176,7 +176,7 @@ def _checked(rows: list, small: bool) -> tuple:
     """The rows as float lists (small) or a numpy array, and the positive entries as binary digits, row-major."""
     if small:
         P, flat = _floats(rows)
-        low, sums, digits = min(flat), map(_fsum, P), bytes(map(bool, flat)).translate(_DIGITS)
+        low, sums, digits = min(flat), map(sum, P), bytes(map(bool, flat)).translate(_DIGITS)
     else:
         import numpy as np  # only a large chain needs numpy, so importing obskit does not load it
         try:
@@ -195,14 +195,6 @@ def _checked(rows: list, small: bool) -> tuple:
         if abs(total - 1.0) > ROW_SUM_TOLERANCE:
             raise DefinitionError(f"row {i} does not sum to 1")
     return P, digits
-
-
-def _fsum(row: list) -> float:
-    """``math.fsum(row)``, or inf when the exact sum of the finite ``row`` is beyond the float range."""
-    try:
-        return math.fsum(row)
-    except OverflowError:
-        return math.inf
 
 
 def _reach(edges: Callable[[int], int], n: int, seeds: int, blocked: int, wanted: int) -> int:
@@ -233,7 +225,7 @@ def _eliminate(P: list, order: list[int], outside: list[int]) -> float:
         del row[-1]  # its move to itself: 1 - P_kk is read as the mass it moves out instead
         pivot = sum(row[1:])
         if not pivot:
-            raise NumericalError("reduced first-passage system is singular")
+            raise NumericalError("a pivot of the first-passage reduction underflows to 0")
         for other in A:
             if f := other.pop() / pivot:
                 other[:] = [a + f * b for a, b in zip(other, row)]
@@ -258,7 +250,7 @@ def _reduce(P, order: list[int], outside: list[int]) -> float:
             for k in reversed(range(hi - lo)):
                 pivot = W[k, 1:k + 2].sum()  # the row's mass out, as in ``_eliminate``
                 if not pivot:
-                    raise NumericalError("reduced first-passage system is singular")
+                    raise NumericalError("a pivot of the first-passage reduction underflows to 0")
                 W[:k] += np.outer(W[:k, k + 2] / pivot, W[k])
                 S[k:, k] = (S[k:, k] + S[k:, k + 1:] @ W[k + 1:, k + 2]) / pivot
             A = A[:lo, :lo + 2] + (A[:lo, lo + 2:] @ S) @ (W[:, hi - lo + 2:] @ A[lo:, :lo + 2])

@@ -253,15 +253,12 @@ def test_a_plain_int_rule_is_a_definition_error(call):
 
 
 @pytest.mark.parametrize("args, error", [
-    pytest.param((110, (0,) * 8, 1, 2, _OBS), DefinitionError, id="int-rule"),
-    pytest.param((_RULE, (0,) * 8, 1.0, 2, _OBS), DefinitionError, id="float-start"),
-    pytest.param((_RULE, (0,) * 8, 1, 2.0, _OBS), DefinitionError, id="float-width"),
-    pytest.param((_RULE, (0, 2, 0, 0, 0), 1, 2, _OBS), DefinitionError, id="non-bit-lattice"),
-    pytest.param((_RULE, (0,) * 8, 1, 3, _OBS), EncodingError, id="width-not-the-state-code"),
-    pytest.param((_RULE, (0,) * 8, 1, 1, _OBS), EncodingError, id="width-below-the-state-code"),
-    pytest.param((_RULE, (0,) * 8, 7, 2, _OBS), DefinitionError, id="wrapping-block"),
-    pytest.param((_RULE, (0,) * 8, -1, 2, _OBS), DefinitionError, id="negative-start"),
-    pytest.param((_RULE, (0,) * 3, 0, 2, _OBS), DefinitionError, id="no-room-for-environment"),
+    pytest.param((110, (0,) * 8, 1, _OBS), DefinitionError, id="int-rule"),
+    pytest.param((_RULE, (0,) * 8, 1.0, _OBS), DefinitionError, id="float-start"),
+    pytest.param((_RULE, (0, 2, 0, 0, 0), 1, _OBS), DefinitionError, id="non-bit-lattice"),
+    pytest.param((_RULE, (0,) * 8, 7, _OBS), DefinitionError, id="wrapping-block"),
+    pytest.param((_RULE, (0,) * 8, -1, _OBS), DefinitionError, id="negative-start"),
+    pytest.param((_RULE, (0,) * 3, 0, _OBS), DefinitionError, id="no-room-for-environment"),
 ])
 def test_a_directly_built_embedded_system_is_checked(args, error):
     with pytest.raises(error):
@@ -273,13 +270,13 @@ def test_an_observer_that_is_not_an_observer_is_a_definition_error(observer):
     with pytest.raises(DefinitionError, match="Observer"):
         embed(_RULE, (0,) * 8, 1, observer)
     with pytest.raises(DefinitionError, match="Observer"):
-        EmbeddedSystem(_RULE, (0,) * 8, 1, 2, observer)
+        EmbeddedSystem(_RULE, (0,) * 8, 1, observer)
 
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda cells: ca_evolution(cells, _RULE, 2), id="ca_evolution"),
     pytest.param(lambda cells: embed(_RULE, cells, 1, _OBS), id="embed"),
-    pytest.param(lambda cells: EmbeddedSystem(_RULE, cells, 1, 2, _OBS), id="EmbeddedSystem"),
+    pytest.param(lambda cells: EmbeddedSystem(_RULE, cells, 1, _OBS), id="EmbeddedSystem"),
 ])
 @pytest.mark.parametrize("cells", [5, None], ids=["int", "none"])
 def test_a_lattice_that_is_not_iterable_is_a_definition_error(call, cells):
@@ -294,9 +291,19 @@ def test_running_what_is_not_an_embedded_system_is_a_definition_error(system):
 
 
 def test_a_directly_built_embedded_system_equals_the_embedded_one():
-    system = EmbeddedSystem(_RULE, [0, 1] * 4, 3, 2, _OBS)
+    system = EmbeddedSystem(_RULE, [0, 1] * 4, 3, _OBS)
     assert system == embed(_RULE, (0, 1) * 4, 3, _OBS)
     assert run_embedded(system, 5) == run_embedded(embed(_RULE, (0, 1) * 4, 3, _OBS), 5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_block_width_is_the_observers_state_code_and_no_field(k):
+    system = EmbeddedSystem(_RULE, (0,) * 8, 1, transparent_observer(_RULE, k))
+    assert system.block_width == k
+    assert EmbeddedSystem._fields == ("rule", "lattice", "block_start", "observer")
+    assert "block_width" not in repr(system)
+    with pytest.raises(TypeError):
+        EmbeddedSystem(_RULE, (0,) * 8, 1, k, transparent_observer(_RULE, k))
 
 
 def test_zero_steps_returns_initial_row_and_empty_trace():
@@ -483,6 +490,20 @@ def assert_renders_like_a_plain_copy(diagram):
     assert renders(copy.deepcopy(diagram)) == want
     for part in (diagram[1:], diagram[::2], diagram + plain):
         assert renders(part) == renders(tuple(map(tuple, part)))
+
+
+@pytest.mark.parametrize("name", ["_packed", "_text"])
+def test_the_rows_a_diagram_keeps_cannot_be_set_or_deleted(name):
+    rule = rule_table(110)
+    for diagram in (ca_evolution((0, 1, 0, 0), rule, 2),
+                    run_embedded(embed(rule, (0, 1, 0, 0), 1, transparent_observer(rule, 1)), 2)[0]):
+        want = renders(diagram)
+        with pytest.raises(AttributeError):
+            setattr(diagram, name, b"0000\n1111\n0101")
+        with pytest.raises(AttributeError):
+            delattr(diagram, name)
+        assert renders(diagram) == want
+        assert renders(pickle.loads(pickle.dumps(diagram))) == renders(copy.deepcopy(diagram)) == want
 
 
 def assert_rows_are_int_tuples(diagram):

@@ -12,6 +12,7 @@ deterministic.  A public callable with no row in ``VALID`` fails
 collection.  Ints in the junk stay small: a huge step count is a valid
 request for a long run, not a wrong kind.  No junk value is callable: what
 a goal predicate raises passes through unchanged, as any callback's does.
+The calls that read a ledger are then given one whose entry holds the junk.
 The module ends with the round trip: a machine whose identifiers a
 document can hold parses back equal to itself.
 """
@@ -50,7 +51,7 @@ VALID = {
     "ComplexityReport": lambda: (1.0, 0.0, 1.0, (1, 1, 1)),
     "CoupledSystem": lambda: (THERMO, FLIP),
     "DocumentParseError": lambda: ("message", 1, 2),
-    "EmbeddedSystem": lambda: (RULE, LATTICE, 2, 2, BLOCK),
+    "EmbeddedSystem": lambda: (RULE, LATTICE, 2, BLOCK),
     "Environment": lambda: (FLIP.states, FLIP.actions, dict(FLIP.transition), dict(FLIP.observation)),
     "FactEntry": lambda: ("o", 1, "y", "a"),
     "FactLedger": lambda: ((),),
@@ -198,19 +199,22 @@ NASTY = {
 }
 
 
+def must_keep_the_contract(call, what: str) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except obskit.ObskitError:
+            pass
+        except Exception as exc:  # a bare TypeError, a RecursionError, a warning raised as an error
+            pytest.fail(f"{what} raised {type(exc).__name__}: {str(exc)[:200]}", pytrace=False)
+
+
 def call_must_keep_the_contract(name: str, position: int, junk) -> None:
     args = list(valid_args(name))
     args[position] = junk
     fn = target(name)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            fn(*args)
-        except obskit.ObskitError:
-            pass
-        except Exception as exc:  # a bare TypeError, a RecursionError, a warning raised as an error
-            pytest.fail(f"{name} with a wrong-kind value in position {position} raised "
-                        f"{type(exc).__name__}: {str(exc)[:200]}", pytrace=False)
+    must_keep_the_contract(lambda: fn(*args), f"{name} with a wrong-kind value in position {position}")
 
 
 def test_the_table_covers_every_public_callable_and_every_position():
@@ -259,6 +263,40 @@ def test_each_generated_wrong_kind_value_gives_a_result_or_an_obskit_error(name,
     position = data.draw(st.integers(0, len(args) - 1), label="position")
     junk = data.draw(mutants(args[position]) if data.draw(st.booleans(), label="mutate") else JUNK, label="junk")
     call_must_keep_the_contract(name, position, junk)
+
+
+# -- junk inside a valid-looking ledger ----------------------------------------------
+# The calls that read a ledger's entries, given a ledger of one entry with a wrong-kind value in
+# one field; building the entry is part of the call, so it may be what raises.
+
+LEDGER_READERS = ["record_fact", "facts_relative_to", "known_spin_values", "FactLedger.last_step"]
+
+
+def read_must_keep_the_contract(name: str, position: int, junk) -> None:
+    entry = list(VALID["FactEntry"]())
+    entry[position] = junk
+    _, _, method = name.partition(".")
+
+    def read():
+        ledger = obskit.FactLedger((obskit.FactEntry(*entry),))
+        return getattr(ledger, method)(*valid_args(name)) if method else target(name)(ledger, *valid_args(name)[1:])
+    must_keep_the_contract(read, f"{name} on a ledger entry with a wrong-kind value in position {position}")
+
+
+@pytest.mark.parametrize("name, position", [pytest.param(n, p, id=f"{n}-{p}") for n in LEDGER_READERS
+                                            for p in range(len(VALID["FactEntry"]()))])
+def test_each_fixed_nasty_value_in_a_ledger_entry_gives_a_result_or_an_obskit_error(name, position):
+    for junk in NASTY.values():
+        read_must_keep_the_contract(name, position, junk)
+
+
+@pytest.mark.parametrize("name", LEDGER_READERS)
+@settings(max_examples=8, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_each_generated_value_in_a_ledger_entry_gives_a_result_or_an_obskit_error(name, data):
+    position = data.draw(st.integers(0, len(VALID["FactEntry"]()) - 1), label="position")
+    read_must_keep_the_contract(name, position, data.draw(JUNK, label="junk"))
 
 
 # -- round trip: what serializes parses back equal -----------------------------

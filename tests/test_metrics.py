@@ -518,6 +518,16 @@ def test_a_leak_that_a_float_barely_holds_is_a_numerical_error_not_infinity(solv
         solve([[1.0, 5e-324], [0.0, 1.0]], 0, [1])
 
 
+@pytest.mark.parametrize("n", [4, 70])
+def test_a_pivot_that_underflows_to_0_is_named_as_an_underflow(n):
+    # folding state 2 into state 1 leaves state 1 a mass out of 1e-400, which rounds to 0; the system is not singular,
+    # as both sides used to call it: its answer is about 1e100.  Padded with absorbing states, 70 states go to numpy
+    chain = [[0, 1e-300, 0, 1], [0, 1, 1e-200, 0], [0, 1, 0, 1e-200], [0, 0, 0, 1]]
+    chain = [row + [0] * (n - 4) for row in chain] + [[float(j == i) for j in range(n)] for i in range(4, n)]
+    with pytest.raises(NumericalError, match="^a pivot of the first-passage reduction underflows to 0$"):
+        expected_hitting_time(chain, 0, [3])
+
+
 THREE = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
 
 

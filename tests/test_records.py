@@ -60,8 +60,8 @@ SAMPLES = [
     (MinimalityReport, dict(has_inputs=True, has_outputs=True, nontrivial_dynamics=False,
                             actions_can_change_environment=True, readings_track_environment=False), 5),
     (CARule, dict(number=110), 1),
-    (EmbeddedSystem, dict(rule=CARule(110), lattice=(0, 1) * 4, block_start=2, block_width=2,
-                          observer=transparent_observer(CARule(110), 2)), 5),
+    (EmbeddedSystem, dict(rule=CARule(110), lattice=(0, 1) * 4, block_start=2,
+                          observer=transparent_observer(CARule(110), 2)), 4),
     (Wiring, dict(lift={"z": "y"}, drop=None), 1),
     (WellFoundedReport, dict(well_founded=True, cycle=None), 1),
     (RuleTable, dict(transition={("a", "y"): "a"}, output_map={"a": "z"}), 2),
